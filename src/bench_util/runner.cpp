@@ -102,13 +102,17 @@ Result<QuerySetMetrics> RunSystem(SystemKind kind, Session& session,
   switch (kind) {
     case SystemKind::kMate:
       break;  // handled above
-    case SystemKind::kScr:
-      run_one = [corpus, index, &queries, options](size_t i) {
-        ScrSearch engine(corpus, index);
-        return engine.Discover(queries[i].query, queries[i].key_columns,
-                               options);
+    case SystemKind::kScr: {
+      // SCR (§7.1.1) is Algorithm 1 without super-key row filtering: every
+      // fetched candidate row goes to exact verification.
+      DiscoveryOptions scr_options = options;
+      scr_options.use_row_filter = false;
+      run_one = [corpus, index, &queries, scr_options](size_t i) {
+        return MateSearch(corpus, index)
+            .Discover(queries[i].query, queries[i].key_columns, scr_options);
       };
       break;
+    }
     case SystemKind::kMcr:
       run_one = [corpus, index, &queries, options](size_t i) {
         McrSearch engine(corpus, index);

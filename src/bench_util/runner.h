@@ -16,7 +16,7 @@
 
 #include "baselines/josie.h"
 #include "baselines/mcr.h"
-#include "baselines/scr.h"
+#include "core/mate.h"
 #include "core/session.h"
 #include "workload/query_gen.h"
 

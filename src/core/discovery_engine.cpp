@@ -77,14 +77,6 @@ std::string BatchStats::ToString() const {
 
 BatchResult RunDiscoveryBatch(
     size_t num_queries,
-    const std::function<DiscoveryResult(size_t)>& run_one,
-    const BatchOptions& batch_options) {
-  ThreadPool pool(batch_options.num_threads);
-  return RunDiscoveryBatch(num_queries, run_one, &pool);
-}
-
-BatchResult RunDiscoveryBatch(
-    size_t num_queries,
     const std::function<DiscoveryResult(size_t)>& run_one, ThreadPool* pool) {
   BatchResult batch;
   batch.results.resize(num_queries);
@@ -99,18 +91,6 @@ BatchResult RunDiscoveryBatch(
   batch.stats = AggregateBatchStats(batch.results, wall.ElapsedSeconds(),
                                     pool->num_threads());
   return batch;
-}
-
-BatchResult DiscoveryEngine::DiscoverBatch(
-    const std::vector<BatchQuery>& queries, const DiscoveryOptions& options,
-    const BatchOptions& batch_options) const {
-  return RunDiscoveryBatch(
-      queries.size(),
-      [this, &queries, &options](size_t i) {
-        const BatchQuery& q = queries[i];
-        return search_.Discover(*q.query, q.key_columns, options);
-      },
-      batch_options);
 }
 
 }  // namespace mate

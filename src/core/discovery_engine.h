@@ -1,15 +1,10 @@
-// Multi-threaded batch discovery: fans a set of independent queries out
-// over a work-stealing thread pool and aggregates the per-query stats the
-// paper reports over query *sets* (Fig. 4-6, Tables 1-3). Every query runs
-// the unmodified serial `MateSearch::Discover`, and results land in slots
-// indexed by query position, so a batch is bit-identical to the serial loop
-// at any thread count (timings aside).
-//
-// Two layers:
-//   * RunDiscoveryBatch — generic fan-out over any per-query callable; the
-//     bench runners route all five SystemKinds through it.
-//   * DiscoveryEngine — the MATE-specific convenience wrapper
-//     (`DiscoverBatch`) used by the CLI and examples.
+// Multi-threaded batch discovery: RunDiscoveryBatch fans a set of
+// independent queries out over a work-stealing thread pool and aggregates
+// the per-query stats the paper reports over query *sets* (Fig. 4-6,
+// Tables 1-3). It is generic over any per-query callable — mate::Session
+// runs its batches and the bench runners' baseline systems through it —
+// and results land in slots indexed by query position, so a batch is
+// bit-identical to the serial loop at any thread count (timings aside).
 
 #ifndef MATE_CORE_DISCOVERY_ENGINE_H_
 #define MATE_CORE_DISCOVERY_ENGINE_H_
@@ -23,18 +18,6 @@
 namespace mate {
 
 class ThreadPool;
-
-struct BatchQuery {
-  /// Must outlive the batch call.
-  const Table* query = nullptr;
-  std::vector<ColumnId> key_columns;
-};
-
-struct BatchOptions {
-  /// Worker threads for the fan-out (IndexBuilder convention: 0 = hardware
-  /// concurrency, 1 = fully serial on the calling thread).
-  unsigned num_threads = 1;
-};
 
 /// Aggregate instrumentation over one batch. Counter sums are accumulated
 /// in query-index order, so they are deterministic at any thread count;
@@ -104,44 +87,18 @@ struct BatchResult {
   BatchStats stats;
 };
 
-/// Runs `run_one(i)` for i in [0, num_queries) on a work-stealing pool and
-/// aggregates BatchStats. `run_one` must be safe to call concurrently.
-BatchResult RunDiscoveryBatch(
-    size_t num_queries,
-    const std::function<DiscoveryResult(size_t)>& run_one,
-    const BatchOptions& batch_options);
-
-/// Same fan-out on an existing `pool` (mate::Session reuses one long-lived
-/// pool this way instead of spinning workers up per batch). The pool must
+/// Runs `run_one(i)` for i in [0, num_queries) on `pool` and aggregates
+/// BatchStats. `run_one` must be safe to call concurrently. The pool must
 /// be idle; the call submits, waits, and leaves it idle again.
 BatchResult RunDiscoveryBatch(
     size_t num_queries,
     const std::function<DiscoveryResult(size_t)>& run_one, ThreadPool* pool);
 
 /// Folds per-query results (in query-index order) plus a measured wall time
-/// into BatchStats — shared by the fan-out paths above and Session's cached
+/// into BatchStats — shared by RunDiscoveryBatch and Session's cached
 /// batch path.
 BatchStats AggregateBatchStats(const std::vector<DiscoveryResult>& results,
                                double wall_seconds, unsigned num_threads);
-
-class DiscoveryEngine {
- public:
-  /// Both `corpus` and `index` must outlive the engine; the index must have
-  /// been built over `corpus`.
-  DiscoveryEngine(const Corpus* corpus, const InvertedIndex* index)
-      : search_(corpus, index) {}
-
-  /// Top-k discovery for every query in `queries`, fanned out over
-  /// `batch_options.num_threads` workers.
-  BatchResult DiscoverBatch(const std::vector<BatchQuery>& queries,
-                            const DiscoveryOptions& options,
-                            const BatchOptions& batch_options) const;
-
-  const MateSearch& search() const { return search_; }
-
- private:
-  MateSearch search_;
-};
 
 }  // namespace mate
 

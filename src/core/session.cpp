@@ -135,7 +135,7 @@ Status Session::WaitCorpusResident() const {
     warm_->done.Wait();
     return warm_->status;
   }
-  // No warmer running (eager/adopted corpora are already resident, this
+  // No warmer running (built/adopted corpora are already resident, this
   // returns immediately; warm_corpus=false sessions materialize here).
   return corpus_.MaterializeAll();
 }
@@ -183,42 +183,29 @@ Result<Session> Session::Open(SessionOptions options) {
     session.corpus_stats_ = load.corpus_stats();
     have_stats = session.corpus_stats_.num_cells > 0;
     session.index_ = load.TakeIndex();
-    if (options.eager_load) {
-      MATE_RETURN_IF_ERROR(load.Finish());
+    auto pending = std::make_shared<PendingLoad>(std::move(load));
+    session.pending_ = pending;
+    auto run = [state = pending] {
+      state->status = state->load.Finish();
+      state->done.CountDown();
+    };
+    if (session.pool_->num_threads() > 1) {
+      session.pool_->Submit(std::move(run));
     } else {
-      auto pending = std::make_shared<PendingLoad>(std::move(load));
-      session.pending_ = pending;
-      auto run = [state = pending] {
-        state->status = state->load.Finish();
-        state->done.CountDown();
-      };
-      if (session.pool_->num_threads() > 1) {
-        session.pool_->Submit(std::move(run));
-      } else {
-        // A serial pool runs Submit inline on the caller; a dedicated
-        // loader thread keeps Open non-blocking even at num_threads = 1.
-        pending->thread = std::thread(std::move(run));
-      }
+      // A serial pool runs Submit inline on the caller; a dedicated
+      // loader thread keeps Open non-blocking even at num_threads = 1.
+      pending->thread = std::thread(std::move(run));
     }
   }
 
-  // ---- corpus (overlapped by phase 2 when phased) -------------------
-  // The default path-based load is *lazy*: mmap + stats header + table
-  // directory only, so the shape cross-validation below parses zero cells
-  // and Open's corpus cost is the directory walk. v1 files fall back to
-  // the eager legacy parse inside OpenCorpusLazy.
+  // ---- corpus (overlapped by phase 2 of an index load) --------------
+  // A path-based load is *lazy*: mmap + stats header + table directory
+  // only, so the shape cross-validation below parses zero cells and Open's
+  // corpus cost is the directory walk.
   bool corpus_file_stats = false;
   CorpusStats corpus_header_stats;
   if (options.corpus.has_value()) {
     session.corpus_ = std::move(*options.corpus);
-  } else if (options.eager_corpus) {
-    // Eager load keeps the v2 header's persisted stats too — eagerness
-    // changes residency, not whether Open must pay a ComputeStats scan.
-    MATE_ASSIGN_OR_RETURN(std::string data,
-                          ReadFileToString(options.corpus_path));
-    MATE_ASSIGN_OR_RETURN(
-        session.corpus_,
-        DeserializeCorpus(data, &corpus_header_stats, &corpus_file_stats));
   } else {
     MATE_ASSIGN_OR_RETURN(
         session.corpus_,
@@ -238,12 +225,8 @@ Result<Session> Session::Open(SessionOptions options) {
     if (options.validate) {
       // Against the shape header parsed in phase 1 — the super keys may
       // still be streaming.
-      const std::vector<uint64_t>& rows_per_table =
-          session.pending_ != nullptr
-              ? session.pending_->load.rows_per_table()
-              : session.index_->superkeys().RowCounts();
-      MATE_RETURN_IF_ERROR(
-          ValidateShapeMatchesCorpus(session.corpus_, rows_per_table));
+      MATE_RETURN_IF_ERROR(ValidateShapeMatchesCorpus(
+          session.corpus_, session.pending_->load.rows_per_table()));
     }
   } else if (options.build_index) {
     MATE_ASSIGN_OR_RETURN(
@@ -259,7 +242,7 @@ Result<Session> Session::Open(SessionOptions options) {
     }
   }
   // Stats priority: what the index was built with (hash parameterization
-  // must match), else the corpus v2 header's persisted stats (satisfying a
+  // must match), else the corpus file header's persisted stats (satisfying a
   // lazy open without a scan), else the full ComputeStats scan — which
   // materializes a lazy corpus, making it effectively eager.
   if (!have_stats && corpus_file_stats) {
@@ -270,9 +253,8 @@ Result<Session> Session::Open(SessionOptions options) {
 
   // ---- corpus residency budget ---------------------------------------
   // Armed before any query can materialize tables. The immediate evict
-  // covers opens whose setup already materialized cells (an eager load, or
-  // the ComputeStats fallback scan above): the session must not start its
-  // life over budget.
+  // covers opens whose setup already materialized cells (the ComputeStats
+  // fallback scan above): the session must not start its life over budget.
   if (options.corpus_budget_bytes > 0) {
     session.corpus_.SetBudget(options.corpus_budget_bytes);
     session.corpus_.EvictToBudget();
@@ -283,8 +265,8 @@ Result<Session> Session::Open(SessionOptions options) {
   }
 
   // ---- background corpus warmer (last: no error return may follow) ---
-  // Spawned only when tables are actually cold; built/adopted/eager
-  // corpora (and lazy ones fully drained by a stats scan above) skip it.
+  // Spawned only when tables are actually cold; built/adopted corpora (and
+  // lazy ones fully drained by a stats scan above) skip it.
   // A residency budget also skips it: warming the whole lake just to evict
   // it back down wastes the parse, and on-demand (columnar) materialization
   // is the budgeted session's whole point.
@@ -654,7 +636,7 @@ Status Session::Save(const std::string& corpus_path,
   // Serialization needs every cell: drain the warmer (or materialize
   // inline) and refuse to persist a corpus whose blobs failed to parse.
   MATE_RETURN_IF_ERROR(WaitCorpusResident());
-  // The stats land in the corpus v2 header, so reopening lazily needs no
+  // The stats land in the corpus file header, so reopening lazily needs no
   // ComputeStats scan. Like the index's stored stats, they snapshot the
   // corpus as of the last build/scan; maintenance edits can lag them.
   MATE_RETURN_IF_ERROR(SaveCorpus(corpus_, corpus_stats_, corpus_path));

@@ -7,13 +7,15 @@
 //   * opens *phased* when loading an index from disk: Open returns once
 //     the header, dictionary, and corpus/index cross-validation are done,
 //     the mmap'd posting region and super keys stream in on the pool, and
-//     the first Discover blocks on a readiness latch (WaitUntilReady /
-//     SessionOptions::eager_load give explicit control);
-//   * loads the corpus *lazily* from a v2 file: Open parses only the shape
-//     header (stats + table directory) over the mmap'd image, queries
-//     materialize just the candidate tables they evaluate, and a dedicated
-//     background warmer streams the rest (WaitCorpusResident /
-//     SessionOptions::eager_corpus / warm_corpus give explicit control);
+//     the first Discover blocks on a readiness latch (WaitUntilReady gives
+//     explicit control);
+//   * loads the corpus *lazily* from a corpus file (format v3): Open parses
+//     only the shape header (stats + table directory) over the mmap'd
+//     image, queries materialize just the candidate tables they evaluate,
+//     and a dedicated background warmer streams the rest
+//     (WaitCorpusResident / SessionOptions::warm_corpus give explicit
+//     control). A fully blocking open is Open + WaitUntilReady +
+//     WaitCorpusResident;
 //   * owns one long-lived work-stealing ThreadPool reused across batches
 //     (the per-batch worker spin-up of the raw engine is gone) and fans a
 //     single large query's sharded evaluation out over the same pool
@@ -26,11 +28,11 @@
 //     malformed key spec used to reach.
 //
 // Every binary (CLI, benches, examples) goes through Session; the raw
-// MateSearch/DiscoveryEngine classes remain as internal implementation
-// details. Thread-safety: Discover/DiscoverBatch/RunBatch are called from
-// one thread at a time (they fan work out over the pool internally);
-// mutation (mutable_*, ResetHash, SetNumThreads, ConfigureCache) requires
-// the session to be otherwise idle.
+// MateSearch class remains as an internal implementation detail.
+// Thread-safety: Discover/DiscoverBatch/RunBatch are called from one
+// thread at a time (they fan work out over the pool internally); mutation
+// (mutable_*, ResetHash, SetNumThreads, ConfigureCache) requires the
+// session to be otherwise idle.
 //
 // Typical use:
 //
@@ -133,28 +135,6 @@ struct SessionOptions {
   /// Long-lived discovery pool (IndexBuilder convention: 0 = hardware
   /// concurrency, 1 = serial on the calling thread).
   unsigned num_threads = 1;
-  /// Path-based index loads are *phased* by default: Open returns once the
-  /// corpus, index header + value dictionary, and the corpus/index
-  /// cross-validation are done, while the posting lists and super keys
-  /// stream in from the mmap'd file on the session pool (a dedicated
-  /// loader thread when the pool is serial). The first
-  /// Discover/DiscoverBatch blocks on the readiness latch, so results are
-  /// bit-identical to a blocking open — only the time at which a load
-  /// error in the bulky sections surfaces moves (to WaitUntilReady / the
-  /// first query, as kCorruption). Set true to force the old fully
-  /// blocking Open: it returns only with the index hot and every load
-  /// error surfaces from Open itself.
-  bool eager_load = false;
-  /// Path-based corpus loads are *lazy* by default (corpus format v2): Open
-  /// mmaps the file, parses only the stats header and table directory, and
-  /// cross-validates shape against the index with zero cell parsing; each
-  /// table's cells materialize on its first access (queries touch only the
-  /// candidate tables the index surfaces) while a background warmer streams
-  /// the rest in. Results are bit-identical to an eager open — only *when*
-  /// cells parse moves. Set true to force the old fully materialized load:
-  /// Open returns with every cell resident and every corpus error surfaces
-  /// from Open itself. v1 corpus files always load eagerly (legacy path).
-  bool eager_corpus = false;
   /// Background corpus warmer (lazy corpus only): a dedicated thread
   /// materializes every table after Open returns, so steady-state queries
   /// stop paying first-touch parses. It is a *dedicated* thread, not a pool
@@ -171,8 +151,8 @@ struct SessionOptions {
   /// bit-identical to an unlimited run; only residency changes. The budget
   /// also disables the background warmer (warming the whole lake would
   /// just be evicted again) and keeps the corpus mmap alive for re-parses.
-  /// Budgets only govern path-based lazy corpora: adopted/eager/built
-  /// corpora have no backing file to re-parse evicted tables from.
+  /// Budgets only govern path-based lazy corpora: adopted/built corpora
+  /// have no backing file to re-parse evicted tables from.
   uint64_t corpus_budget_bytes = 0;
   /// Result-cache byte budget; 0 disables caching entirely.
   size_t cache_bytes = kDefaultCacheBytes;
@@ -196,12 +176,20 @@ class Session {
  public:
   /// Opens a session per `options`. Fails with:
   ///   * InvalidArgument — no corpus source, or two of them;
-  ///   * IOError / Corruption — unreadable or malformed files;
+  ///   * IOError / Corruption — unreadable or malformed files (a corpus
+  ///     file of any version but 3 is "unsupported version N");
   ///   * Corruption — index does not match the corpus (table/row skew).
-  /// Under the default phased load (see SessionOptions::eager_load) the
-  /// index's posting lists and super keys stream in after Open returns;
-  /// corruption confined to those trailing sections surfaces as
-  /// kCorruption from WaitUntilReady / the first query instead of here.
+  /// Path-based loads are *phased* and *lazy*: Open returns once the index
+  /// header + value dictionary, the corpus shape header, and the
+  /// corpus/index cross-validation are done. The index's posting lists and
+  /// super keys then stream in on the session pool (a dedicated loader
+  /// thread when the pool is serial), and corpus cells materialize on first
+  /// access while a background warmer streams the rest. Results are
+  /// bit-identical to a blocking open; only the time at which a load error
+  /// in the bulky sections surfaces moves — to WaitUntilReady / the first
+  /// query (index) or WaitCorpusResident / the touching query (corpus
+  /// cells), as kCorruption. Open followed by both waits is the fully
+  /// blocking open.
   static Result<Session> Open(SessionOptions options);
 
   /// Quiesces any in-flight phased load (waits for the loader task / joins
@@ -217,7 +205,7 @@ class Session {
   /// Blocks until the phased load (if any) has finished streaming the
   /// posting lists and super keys, and returns its status (kCorruption on
   /// a malformed posting/super-key region). Returns OK immediately for
-  /// eager, built, adopted, and corpus-only sessions.
+  /// built, adopted, and corpus-only sessions.
   /// Discover/DiscoverBatch/Save/ResetHash all call this themselves; call
   /// it directly to surface load errors early or before touching index()
   /// by hand.
@@ -232,7 +220,7 @@ class Session {
   /// warmer when one is running, materializing inline otherwise — and
   /// returns the corpus's sticky load status (kCorruption naming the table,
   /// section, and byte offset on a malformed cell blob). Returns OK
-  /// immediately for eager, adopted, and built corpora. Queries do NOT wait
+  /// immediately for adopted and built corpora. Queries do NOT wait
   /// on this (on-demand materialization is the point); Save does.
   Status WaitCorpusResident() const;
 

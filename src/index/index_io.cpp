@@ -68,7 +68,7 @@ class IndexLoader {
     if (data->empty()) return cursor.Corrupt("truncated stats flag");
     const uint8_t used_stats = static_cast<uint8_t>((*data)[0]);
     data->remove_prefix(1);
-    // Shared CorpusStats codec (storage/corpus.h) — the corpus v2 header
+    // Shared CorpusStats codec (storage/corpus.h) — the corpus file header
     // persists the same block.
     if (!ParseCorpusStats(data, &impl->stats)) {
       return cursor.Corrupt("bad corpus stats");

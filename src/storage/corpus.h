@@ -5,7 +5,7 @@
 //
 // Residency is delegated to a TableStore (storage/table_store.h): a corpus
 // adopted or built in memory is fully resident, while one opened lazily from
-// a corpus-format-v2 file knows every table's *shape* up front and
+// a corpus file knows every table's *shape* up front and
 // materializes cells per table on the first table(t) access. Callers that
 // only need shape — shard planners, validators, result printers — should
 // use the table_* accessors, which never trigger materialization.
@@ -46,7 +46,7 @@ struct CorpusStats {
 
 /// Appends/parses the canonical binary encoding of CorpusStats — shared by
 /// the index image (so a loaded index reconstructs its hash) and the corpus
-/// v2 header (so a lazy open needs no ComputeStats scan).
+/// file header (so a lazy open needs no ComputeStats scan).
 void AppendCorpusStats(std::string* out, const CorpusStats& stats);
 bool ParseCorpusStats(std::string_view* input, CorpusStats* stats);
 
@@ -78,9 +78,9 @@ class Corpus {
     return store_.Get(t, outcome);
   }
   /// The table with at least `columns` materialized (per-column parse over
-  /// corpus-format-v3 backings; whole-table fallback otherwise). Cells of
-  /// columns never requested read as empty strings — callers must only
-  /// touch the columns they asked for.
+  /// a lazy backing; resident tables are returned whole). Cells of columns
+  /// never requested read as empty strings — callers must only touch the
+  /// columns they asked for.
   const Table& MaterializeColumns(TableId t,
                                   const std::vector<ColumnId>& columns,
                                   MaterializeOutcome* outcome = nullptr) const {
@@ -146,8 +146,7 @@ class Corpus {
 /// Deep equality of one table: name, columns, cells, and tombstones.
 bool TablesEqual(const Table& a, const Table& b);
 
-/// Deep equality over shape, cells, and tombstones (materializes both) —
-/// the check behind `mate_cli convert-corpus`'s round-trip verification.
+/// Deep equality over shape, cells, and tombstones (materializes both).
 bool CorporaEqual(const Corpus& a, const Corpus& b);
 
 }  // namespace mate

@@ -20,12 +20,8 @@ namespace {
 
 constexpr char kMagic[] = "MATECORP";
 constexpr size_t kMagicLen = 8;
-constexpr uint32_t kVersionV1 = 1;
-// v2: persisted stats + shape directory ahead of a size-prefixed cell
-// region, so a lazy open parses no cells.
-constexpr uint32_t kVersionV2 = 2;
-// v3: v2 plus per-column extents in each directory entry, so the residency
-// layer can parse a single touched column of a table.
+// The only format: persisted stats + shape directory (with per-column
+// extents) ahead of a size-prefixed cell region — see corpus_io.h.
 constexpr uint32_t kVersion = 3;
 
 // Everything ahead of the cells: persisted stats plus the table directory,
@@ -58,10 +54,7 @@ size_t CountDeletedRows(std::string_view bitmap, uint64_t num_rows) {
 
 // Magic + version already consumed; leaves the cursor at the first cell
 // blob with every shape's extent verified to lie inside the region.
-// `per_column_sizes` distinguishes the v3 directory (each entry trails its
-// per-column extents) from the v2 one.
-Status ParseHeaderV2(ParseCursor* cursor, CorpusHeader* header,
-                     bool per_column_sizes) {
+Status ParseHeader(ParseCursor* cursor, CorpusHeader* header) {
   std::string_view* data = &cursor->remaining;
 
   cursor->section = "stats";
@@ -133,30 +126,28 @@ Status ParseHeaderV2(ParseCursor* cursor, CorpusHeader* header,
           " rows x " + std::to_string(num_cols) + " columns in " +
           std::to_string(shape.cell_bytes) + " bytes)");
     }
-    if (per_column_sizes) {
-      // Per-column extents must tile the table's blob exactly: each is
-      // bounded by cell_bytes (so the running sum cannot wrap), and a sum
-      // skew is rejected here — a corrupt split must fail at open with the
-      // section + offset, never as a wild sub-blob parse later.
-      shape.column_bytes.reserve(static_cast<size_t>(num_cols));
-      uint64_t column_total = 0;
-      for (uint64_t c = 0; c < num_cols; ++c) {
-        uint64_t col_bytes = 0;
-        if (!GetVarint64(data, &col_bytes) ||
-            col_bytes > shape.cell_bytes - column_total) {
-          return cursor->Corrupt("bad column cell size for column " +
-                                 std::to_string(c) + " of table " +
-                                 std::to_string(t));
-        }
-        column_total += col_bytes;
-        shape.column_bytes.push_back(col_bytes);
+    // Per-column extents must tile the table's blob exactly: each is
+    // bounded by cell_bytes (so the running sum cannot wrap), and a sum
+    // skew is rejected here — a corrupt split must fail at open with the
+    // section + offset, never as a wild sub-blob parse later.
+    shape.column_bytes.reserve(static_cast<size_t>(num_cols));
+    uint64_t column_total = 0;
+    for (uint64_t c = 0; c < num_cols; ++c) {
+      uint64_t col_bytes = 0;
+      if (!GetVarint64(data, &col_bytes) ||
+          col_bytes > shape.cell_bytes - column_total) {
+        return cursor->Corrupt("bad column cell size for column " +
+                               std::to_string(c) + " of table " +
+                               std::to_string(t));
       }
-      if (column_total != shape.cell_bytes) {
-        return cursor->Corrupt(
-            "column size skew for table " + std::to_string(t) +
-            ": columns declare " + std::to_string(column_total) +
-            " bytes, cell blob holds " + std::to_string(shape.cell_bytes));
-      }
+      column_total += col_bytes;
+      shape.column_bytes.push_back(col_bytes);
+    }
+    if (column_total != shape.cell_bytes) {
+      return cursor->Corrupt(
+          "column size skew for table " + std::to_string(t) +
+          ": columns declare " + std::to_string(column_total) +
+          " bytes, cell blob holds " + std::to_string(shape.cell_bytes));
     }
     header->shapes.push_back(std::move(shape));
   }
@@ -202,109 +193,9 @@ Status ParseHeaderV2(ParseCursor* cursor, CorpusHeader* header,
   return Status::OK();
 }
 
-Result<Corpus> DeserializeCorpusV1(ParseCursor cursor) {
-  std::string_view* data = &cursor.remaining;
-  cursor.section = "table";
-  uint64_t num_tables = 0;
-  if (!GetVarint64(data, &num_tables)) {
-    return cursor.Corrupt("bad table count");
-  }
-  Corpus corpus;
-  for (uint64_t t = 0; t < num_tables; ++t) {
-    std::string_view name;
-    if (!GetLengthPrefixed(data, &name)) {
-      return cursor.Corrupt("bad name for table " + std::to_string(t));
-    }
-    Table table{std::string(name)};
-    uint64_t num_cols = 0;
-    if (!GetVarint64(data, &num_cols)) {
-      return cursor.Corrupt("bad column count for table " +
-                            std::to_string(t));
-    }
-    for (uint64_t c = 0; c < num_cols; ++c) {
-      std::string_view col_name;
-      if (!GetLengthPrefixed(data, &col_name)) {
-        return cursor.Corrupt("bad column name for table " +
-                              std::to_string(t));
-      }
-      table.AddColumn(std::string(col_name));
-    }
-    uint64_t num_rows = 0;
-    // Same wrap guard as the v2 directory: (num_rows + 7) must not
-    // overflow into a zero-byte "valid" bitmap.
-    if (!GetVarint64(data, &num_rows) || num_rows / 8 > data->size()) {
-      return cursor.Corrupt("bad row count for table " + std::to_string(t));
-    }
-    std::string_view bitmap;
-    if (!GetLengthPrefixed(data, &bitmap) ||
-        bitmap.size() != (num_rows + 7) / 8) {
-      return cursor.Corrupt("bad deleted bitmap for table " +
-                            std::to_string(t));
-    }
-    // Every cell costs >= 1 byte, so a declared shape larger than the
-    // bytes left is corrupt — checked before the reserves below so a
-    // flipped count cannot drive a huge allocation.
-    if (num_cols > 0 && num_rows > data->size() / num_cols) {
-      return cursor.Corrupt("cells truncated for the declared shape of "
-                            "table " + std::to_string(t));
-    }
-    // v1 interleaves the (unprefixed) cells with the header: parse them
-    // consuming the cursor, column-major, and gather row-wise to append.
-    std::vector<std::vector<std::string>> cols(
-        static_cast<size_t>(num_cols));
-    for (uint64_t c = 0; c < num_cols; ++c) {
-      cols[c].reserve(static_cast<size_t>(num_rows));
-      for (uint64_t r = 0; r < num_rows; ++r) {
-        std::string_view cell;
-        if (!GetLengthPrefixed(data, &cell)) {
-          return cursor.Corrupt("truncated cell in table " +
-                                std::to_string(t));
-        }
-        cols[c].emplace_back(cell);
-      }
-    }
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      std::vector<std::string> row;
-      row.reserve(static_cast<size_t>(num_cols));
-      for (uint64_t c = 0; c < num_cols; ++c) {
-        row.push_back(std::move(cols[c][r]));
-      }
-      Result<RowId> row_id = table.AppendRow(std::move(row));
-      if (!row_id.ok()) return row_id.status();
-      if ((bitmap[r / 8] >> (r % 8)) & 1) {
-        MATE_RETURN_IF_ERROR(table.DeleteRow(*row_id));
-      }
-    }
-    corpus.AddTable(std::move(table));
-  }
-  return corpus;
-}
-
-Result<Corpus> DeserializeCorpusV2(ParseCursor cursor, CorpusStats* stats,
-                                   bool* stats_present,
-                                   bool per_column_sizes) {
-  CorpusHeader header;
-  MATE_RETURN_IF_ERROR(ParseHeaderV2(&cursor, &header, per_column_sizes));
-  if (stats != nullptr) *stats = header.stats;
-  if (stats_present != nullptr) *stats_present = header.stats_present;
-  Corpus corpus;
-  const std::string_view image(cursor.base, cursor.image_size);
-  for (const TableShape& shape : header.shapes) {
-    Table table(shape.name);
-    for (const std::string& column : shape.column_names) {
-      table.AddColumn(column);
-    }
-    MATE_RETURN_IF_ERROR(ParseTableCells(
-        shape,
-        image.substr(static_cast<size_t>(shape.cell_offset),
-                     static_cast<size_t>(shape.cell_bytes)),
-        cursor.image_size, &table));
-    corpus.AddTable(std::move(table));
-  }
-  return corpus;
-}
-
-// Shared entry: checks magic, dispatches on version.
+// Shared entry: checks magic and version, parses the header, then either
+// hands the mapped image to a lazy store (`lazy_backing`) or parses every
+// cell blob into a fully resident corpus.
 Result<Corpus> DeserializeAny(std::string_view data, CorpusStats* stats,
                               bool* stats_present,
                               MappedFile* lazy_backing) {
@@ -320,33 +211,39 @@ Result<Corpus> DeserializeAny(std::string_view data, CorpusStats* stats,
   if (!GetFixed32(&cursor.remaining, &version)) {
     return cursor.Corrupt("bad version");
   }
-  if (version == kVersionV1) {
-    // Legacy path: v1 interleaves cells with the headers, so there is
-    // nothing to defer — the corpus comes back fully resident.
-    return DeserializeCorpusV1(cursor);
-  }
-  if (version != kVersionV2 && version != kVersion) {
+  if (version != kVersion) {
     return cursor.Corrupt("unsupported version " + std::to_string(version) +
                           " (expected " + std::to_string(kVersion) + ")");
   }
-  const bool per_column_sizes = version == kVersion;
-  if (lazy_backing == nullptr) {
-    return DeserializeCorpusV2(cursor, stats, stats_present,
-                               per_column_sizes);
-  }
   CorpusHeader header;
-  MATE_RETURN_IF_ERROR(ParseHeaderV2(&cursor, &header, per_column_sizes));
+  MATE_RETURN_IF_ERROR(ParseHeader(&cursor, &header));
   if (stats != nullptr) *stats = header.stats;
   if (stats_present != nullptr) *stats_present = header.stats_present;
-  return Corpus(
-      TableStore::Lazy(std::move(header.shapes), std::move(*lazy_backing)));
+  if (lazy_backing != nullptr) {
+    return Corpus(
+        TableStore::Lazy(std::move(header.shapes), std::move(*lazy_backing)));
+  }
+  Corpus corpus;
+  for (const TableShape& shape : header.shapes) {
+    Table table(shape.name);
+    for (const std::string& column : shape.column_names) {
+      table.AddColumn(column);
+    }
+    MATE_RETURN_IF_ERROR(ParseTableCells(
+        shape,
+        data.substr(static_cast<size_t>(shape.cell_offset),
+                    static_cast<size_t>(shape.cell_bytes)),
+        data.size(), &table));
+    corpus.AddTable(std::move(table));
+  }
+  return corpus;
 }
 
 void SerializeCorpusImpl(const Corpus& corpus, const CorpusStats* stats,
-                         std::string* out, bool with_column_sizes) {
+                         std::string* out) {
   out->clear();
   out->append(kMagic, kMagicLen);
-  PutFixed32(out, with_column_sizes ? kVersion : kVersionV2);
+  PutFixed32(out, kVersion);
   out->push_back(stats != nullptr ? '\x01' : '\x00');
   AppendCorpusStats(out, stats != nullptr ? *stats : CorpusStats{});
   PutVarint64(out, corpus.NumTables());
@@ -369,23 +266,17 @@ void SerializeCorpusImpl(const Corpus& corpus, const CorpusStats* stats,
       }
     }
     PutLengthPrefixed(out, bitmap);
-    if (with_column_sizes) {
-      // cell_bytes is the sum of the per-column extents, so one per-column
-      // pass sizes both the blob varint and the v3 extent list.
-      std::vector<uint64_t> column_bytes(table.NumColumns());
-      uint64_t cell_bytes = 0;
-      for (ColumnId c = 0; c < table.NumColumns(); ++c) {
-        column_bytes[c] = TableColumnCellBytes(table, c);
-        cell_bytes += column_bytes[c];
-      }
-      PutVarint64(out, cell_bytes);
-      for (uint64_t col_bytes : column_bytes) PutVarint64(out, col_bytes);
-      region_bytes += cell_bytes;
-    } else {
-      const uint64_t cell_bytes = TableCellBytes(table);
-      PutVarint64(out, cell_bytes);
-      region_bytes += cell_bytes;
+    // cell_bytes is the sum of the per-column extents, so one per-column
+    // pass sizes both the blob varint and the extent list.
+    std::vector<uint64_t> column_bytes(table.NumColumns());
+    uint64_t cell_bytes = 0;
+    for (ColumnId c = 0; c < table.NumColumns(); ++c) {
+      column_bytes[c] = TableColumnCellBytes(table, c);
+      cell_bytes += column_bytes[c];
     }
+    PutVarint64(out, cell_bytes);
+    for (uint64_t col_bytes : column_bytes) PutVarint64(out, col_bytes);
+    region_bytes += cell_bytes;
   }
   PutFixed64(out, region_bytes);
   for (TableId t = 0; t < corpus.NumTables(); ++t) {
@@ -396,41 +287,12 @@ void SerializeCorpusImpl(const Corpus& corpus, const CorpusStats* stats,
 }  // namespace
 
 void SerializeCorpus(const Corpus& corpus, std::string* out) {
-  SerializeCorpusImpl(corpus, nullptr, out, /*with_column_sizes=*/true);
+  SerializeCorpusImpl(corpus, nullptr, out);
 }
 
 void SerializeCorpus(const Corpus& corpus, const CorpusStats& stats,
                      std::string* out) {
-  SerializeCorpusImpl(corpus, &stats, out, /*with_column_sizes=*/true);
-}
-
-void SerializeCorpusV2(const Corpus& corpus, const CorpusStats& stats,
-                       std::string* out) {
-  SerializeCorpusImpl(corpus, &stats, out, /*with_column_sizes=*/false);
-}
-
-void SerializeCorpusV1(const Corpus& corpus, std::string* out) {
-  out->clear();
-  out->append(kMagic, kMagicLen);
-  PutFixed32(out, kVersionV1);
-  PutVarint64(out, corpus.NumTables());
-  for (TableId t = 0; t < corpus.NumTables(); ++t) {
-    const Table& table = corpus.table(t);
-    PutLengthPrefixed(out, table.name());
-    PutVarint64(out, table.NumColumns());
-    for (ColumnId c = 0; c < table.NumColumns(); ++c) {
-      PutLengthPrefixed(out, table.column_name(c));
-    }
-    PutVarint64(out, table.NumRows());
-    std::string bitmap((table.NumRows() + 7) / 8, '\0');
-    for (RowId r = 0; r < table.NumRows(); ++r) {
-      if (table.IsRowDeleted(r)) {
-        bitmap[r / 8] |= static_cast<char>(1 << (r % 8));
-      }
-    }
-    PutLengthPrefixed(out, bitmap);
-    AppendTableCells(table, out);
-  }
+  SerializeCorpusImpl(corpus, &stats, out);
 }
 
 Result<Corpus> DeserializeCorpus(std::string_view data, CorpusStats* stats,
@@ -482,9 +344,8 @@ Result<Corpus> LoadCorpus(const std::string& path) {
 Result<Corpus> OpenCorpusLazy(const std::string& path, CorpusStats* stats,
                               bool* stats_present) {
   MATE_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  // DeserializeAny consumes `file` into the lazy store's backing only on
-  // the v2 path; the v1 fallback parses eagerly out of the still-owned
-  // view, and the mapping dies with `file` on return.
+  // DeserializeAny consumes `file` into the lazy store's backing once the
+  // header parses; on an error the mapping dies with `file` on return.
   return DeserializeAny(file.view(), stats, stats_present, &file);
 }
 

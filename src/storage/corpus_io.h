@@ -1,7 +1,6 @@
-// Binary corpus persistence. The format is versioned and length-prefixed so
-// readers can detect truncation and corruption.
-//
-// Format v3 is laid out for lazy — and *columnar* — materialization:
+// Binary corpus persistence in format v3, the only corpus format. It is
+// versioned and length-prefixed so readers can detect truncation and
+// corruption, and laid out for lazy — and *columnar* — materialization:
 // everything a serving process needs to validate shape and answer "which
 // tables could matter" sits ahead of the bulky cells, the cell region is
 // size-prefixed so its extent is bounds-checked without parsing a single
@@ -17,12 +16,7 @@
 //   cell region:      [region total fixed64]
 //     per table: cells column-major, each length-prefixed (cell_bytes each)
 //
-// Format v2 (same layout minus the per-column extents) still loads
-// everywhere — lazily too, with columnar materialization degrading to
-// whole-table parses. Format v1 (no stats, cells inline with each table
-// header) still loads — eagerly — through every reader here; `mate_cli
-// convert-corpus` migrates v1/v2 files in place.
-//
+// Any other version fails with kCorruption "unsupported version N".
 // Load errors are section- and offset-aware: a truncated or corrupt image
 // names the section ("table directory", "cell region", ...) and the byte
 // offset where parsing stopped, not just a generic failure.
@@ -48,18 +42,9 @@ void SerializeCorpus(const Corpus& corpus, std::string* out);
 void SerializeCorpus(const Corpus& corpus, const CorpusStats& stats,
                      std::string* out);
 
-/// The legacy v1 writer, kept for migration round-trip tests (v1 images
-/// exercise the compatibility path in every reader).
-void SerializeCorpusV1(const Corpus& corpus, std::string* out);
-
-/// The legacy v2 writer (no per-column extents), kept so the
-/// compatibility path — lazy opens included — stays under test.
-void SerializeCorpusV2(const Corpus& corpus, const CorpusStats& stats,
-                       std::string* out);
-
-/// Parses a corpus serialized by any SerializeCorpus flavor, fully
-/// materialized. When non-null, `stats`/`stats_present` receive the v2
-/// header's persisted statistics (v1 images report stats_present = false).
+/// Parses a corpus serialized by SerializeCorpus, fully materialized. When
+/// non-null, `stats`/`stats_present` receive the header's persisted
+/// statistics.
 Result<Corpus> DeserializeCorpus(std::string_view data,
                                  CorpusStats* stats = nullptr,
                                  bool* stats_present = nullptr);
@@ -75,8 +60,7 @@ Result<Corpus> LoadCorpus(const std::string& path);
 /// Opens `path` lazily: mmaps the image, parses only the stats section and
 /// table directory (bounds-checking the cell region extent), and returns a
 /// corpus whose tables materialize on first access — Session::Open's
-/// default corpus path. v1 images fall back to the eager legacy load
-/// (fully resident on return). `stats`/`stats_present` as above.
+/// corpus path. `stats`/`stats_present` as above.
 Result<Corpus> OpenCorpusLazy(const std::string& path,
                               CorpusStats* stats = nullptr,
                               bool* stats_present = nullptr);

@@ -160,8 +160,6 @@ struct TableStore::Impl {
                          MaterializeOutcome* outcome) {
     if (slot.state.load(std::memory_order_relaxed) == 2) return;
     const TableShape& shape = shapes[t];
-    // Without per-column extents (a v2 image) the blob is one parse.
-    if (shape.column_bytes.empty()) want = nullptr;
 
     if (want == nullptr &&
         slot.state.load(std::memory_order_relaxed) == 0) {

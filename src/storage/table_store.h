@@ -11,10 +11,10 @@
 //
 // Residency is buffer-manager shaped, not monotone:
 //
-//   * *Columnar sub-table materialization* — when the backing directory
-//     carries per-column extents (corpus format v3), GetColumns(t, cols)
-//     parses just the touched columns of a table into a shape-complete
-//     Table whose untouched columns stay empty. Single-column-key discovery
+//   * *Columnar sub-table materialization* — the backing directory
+//     carries per-column extents, so GetColumns(t, cols) parses just the
+//     touched columns of a table into a shape-complete Table whose
+//     untouched columns stay empty. Single-column-key discovery
 //     (the evaluator reads only each PL item's fixed column) rides this to
 //     touch a sliver of a giant table instead of the whole blob.
 //   * *Byte-budget LRU eviction* — SetBudget(bytes) arms a residency
@@ -77,9 +77,7 @@ struct TableShape {
   /// Absolute byte offset / size of the cell blob in the backing image.
   uint64_t cell_offset = 0;
   uint64_t cell_bytes = 0;
-  /// Per-column blob sizes (corpus format v3 directories; they sum to
-  /// cell_bytes). Empty for v2 images — columnar sub-table materialization
-  /// then falls back to whole-table parses.
+  /// Per-column blob sizes, one per column; they sum to cell_bytes.
   std::vector<uint64_t> column_bytes;
 };
 
@@ -142,11 +140,10 @@ class TableStore {
   /// A failed parse yields a shape-complete stub and latches load_status().
   const Table& Get(TableId t, MaterializeOutcome* outcome = nullptr) const;
 
-  /// The table with at least `columns` materialized: when the directory
-  /// carries per-column extents, only the missing requested columns parse;
-  /// cells of columns never requested read as empty strings. Falls back to
-  /// a full Get() over v2 images (no per-column extents). Safe to mix with
-  /// Get(): a later full access parses exactly the remaining columns.
+  /// The table with at least `columns` materialized: only the missing
+  /// requested columns parse; cells of columns never requested read as
+  /// empty strings. Safe to mix with Get(): a later full access parses
+  /// exactly the remaining columns.
   const Table& GetColumns(TableId t, const std::vector<ColumnId>& columns,
                           MaterializeOutcome* outcome = nullptr) const;
 
@@ -216,12 +213,11 @@ class TableStore {
   std::shared_ptr<Impl> impl_;
 };
 
-/// Parses one table's cell blob (cells column-major, each length-prefixed —
-/// the encoding shared by every corpus format) into `out`, which must
-/// already carry the shape's name and columns; appends the rows and applies
-/// the tombstone bitmap. Errors name the table and the absolute byte offset
-/// within the `image_size`-byte image (the blob starts at
-/// `shape.cell_offset`).
+/// Parses one table's cell blob (cells column-major, each length-prefixed)
+/// into `out`, which must already carry the shape's name and columns;
+/// appends the rows and applies the tombstone bitmap. Errors name the table
+/// and the absolute byte offset within the `image_size`-byte image (the
+/// blob starts at `shape.cell_offset`).
 Status ParseTableCells(const TableShape& shape, std::string_view blob,
                        uint64_t image_size, Table* out);
 
@@ -239,7 +235,7 @@ void AppendTableCells(const Table& table, std::string* out);
 /// Byte size AppendTableCells would append — the directory's cell_bytes.
 uint64_t TableCellBytes(const Table& table);
 
-/// Byte size of column `c`'s slice of that blob — the v3 directory's
+/// Byte size of column `c`'s slice of that blob — the directory's
 /// per-column extent.
 uint64_t TableColumnCellBytes(const Table& table, ColumnId c);
 

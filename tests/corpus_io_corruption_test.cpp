@@ -80,13 +80,28 @@ TEST(CorpusIoCorruptionTest, BadMagicNamesTheCorpus) {
 }
 
 TEST(CorpusIoCorruptionTest, UnsupportedVersionNamesTheVersion) {
-  std::string bytes = SerializeV2(MakeCorpus());
-  bytes[8] = '\x09';  // version fixed32 little-endian low byte
-  auto loaded = DeserializeCorpus(bytes);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsCorruption());
-  EXPECT_NE(loaded.status().message().find("unsupported version 9"),
-            std::string::npos);
+  // v3 is the only format: the retired v1/v2 layouts and any future
+  // version fail at the version check, through both readers.
+  for (char version : {'\x01', '\x02', '\x04', '\x09'}) {
+    std::string bytes = SerializeV2(MakeCorpus());
+    bytes[8] = version;  // version fixed32 little-endian low byte
+    const std::string expected =
+        "unsupported version " + std::to_string(int{version});
+    SCOPED_TRACE(expected);
+    auto loaded = DeserializeCorpus(bytes);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption());
+    EXPECT_NE(loaded.status().message().find(expected), std::string::npos)
+        << loaded.status().message();
+
+    const std::string path = WriteTemp("version", bytes);
+    auto lazy = OpenCorpusLazy(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(lazy.ok());
+    EXPECT_TRUE(lazy.status().IsCorruption());
+    EXPECT_NE(lazy.status().message().find(expected), std::string::npos)
+        << lazy.status().message();
+  }
 }
 
 TEST(CorpusIoCorruptionTest, TruncatedStatsNamesSectionAndOffset) {
@@ -234,7 +249,7 @@ TEST(CorpusIoCorruptionTest, TruncationFuzzFailsCleanlyEverywhere) {
 TEST(CorpusIoCorruptionTest, HugeDeclaredTableCountFailsFast) {
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, uint64_t{1} << 60);  // would reserve petabytes
@@ -249,7 +264,7 @@ TEST(CorpusIoCorruptionTest, HugeDeclaredColumnCountFailsFast) {
   Corpus corpus = MakeCorpus();
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, 1);
@@ -268,7 +283,7 @@ TEST(CorpusIoCorruptionTest, WrappingRowCountCannotFakeAnEmptyBitmap) {
   // would loop ~2^64 times off the end of an empty view.
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, 1);
@@ -291,7 +306,7 @@ TEST(CorpusIoCorruptionTest, WrappingCellSizesCannotPassTheSkewCheck) {
   // drive substr past the end of the image at materialization.
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, 2);
@@ -318,7 +333,7 @@ TEST(CorpusIoCorruptionTest, ShapeLargerThanItsCellExtentIsRejected) {
   // would amplify a tiny file into an 800-row allocation.
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, 1);
@@ -438,34 +453,6 @@ TEST(CorpusIoCorruptionTest, CutInsideThePerColumnExtentsNamesTheSection) {
   EXPECT_NE(message.find("table directory section"), std::string::npos)
       << message;
   EXPECT_NE(message.find("byte offset"), std::string::npos);
-}
-
-TEST(CorpusIoCorruptionTest, V1ImagesStillLoadEverywhere) {
-  Corpus corpus = MakeCorpus();
-  std::string v1;
-  SerializeCorpusV1(corpus, &v1);
-  auto eager = DeserializeCorpus(v1);
-  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  EXPECT_TRUE(CorporaEqual(corpus, *eager));
-
-  const std::string path = WriteTemp("v1", v1);
-  auto lazy = OpenCorpusLazy(path);
-  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-  // The legacy path has nothing to defer: fully resident on return.
-  EXPECT_TRUE(lazy->fully_resident());
-  EXPECT_TRUE(CorporaEqual(corpus, *lazy));
-  std::remove(path.c_str());
-}
-
-TEST(CorpusIoCorruptionTest, V1TruncationStillFailsCleanly) {
-  Corpus corpus = MakeCorpus();
-  std::string v1;
-  SerializeCorpusV1(corpus, &v1);
-  for (size_t cut : {v1.size() / 4, v1.size() / 2, v1.size() - 1}) {
-    auto loaded = DeserializeCorpus(std::string_view(v1).substr(0, cut));
-    ASSERT_FALSE(loaded.ok()) << "cut=" << cut;
-    EXPECT_TRUE(loaded.status().IsCorruption());
-  }
 }
 
 }  // namespace

@@ -135,46 +135,6 @@ TEST(CorpusIoTest, LazyOpenRoundTripsAndServesStats) {
   std::remove(path.c_str());
 }
 
-TEST(CorpusIoTest, V1WriterRoundTripsThroughEveryReader) {
-  Corpus corpus = MakeCorpus();
-  std::string v1;
-  SerializeCorpusV1(corpus, &v1);
-  auto eager = DeserializeCorpus(v1);
-  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  ExpectCorporaEqual(corpus, *eager);
-  EXPECT_TRUE(CorporaEqual(corpus, *eager));
-}
-
-TEST(CorpusIoTest, V2WriterRoundTripsThroughEveryReader) {
-  // v2 images (no per-column extents) must keep loading everywhere: eagerly
-  // with their header stats, and lazily — where columnar materialization
-  // degrades to a whole-table parse instead of failing.
-  Corpus corpus = MakeCorpus();
-  const CorpusStats stats = corpus.ComputeStats();
-  std::string v2;
-  SerializeCorpusV2(corpus, stats, &v2);
-
-  CorpusStats eager_stats;
-  bool present = false;
-  auto eager = DeserializeCorpus(v2, &eager_stats, &present);
-  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  EXPECT_TRUE(present);
-  EXPECT_TRUE(eager_stats == stats);
-  ExpectCorporaEqual(corpus, *eager);
-
-  const std::string path = testing::TempDir() + "/mate_corpus_io_v2.bin";
-  ASSERT_TRUE(WriteFileAtomic(path, v2).ok());
-  auto lazy = OpenCorpusLazy(path);
-  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-  EXPECT_FALSE(lazy->fully_resident());
-  MaterializeOutcome outcome;
-  (void)lazy->MaterializeColumns(0, {1}, &outcome);
-  EXPECT_EQ(outcome.bytes_parsed, lazy->table_cell_bytes(0));
-  EXPECT_EQ(lazy->residency().partial_tables, 0u);
-  ExpectCorporaEqual(corpus, *lazy);
-  std::remove(path.c_str());
-}
-
 TEST(CorpusIoTest, V3LazyColumnarParsesOnlyTheRequestedColumn) {
   // The per-column extents round-trip: a lazy open of the current format
   // serves one column of a table for exactly that column's bytes, and a

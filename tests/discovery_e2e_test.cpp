@@ -10,7 +10,6 @@
 #include <tuple>
 
 #include "baselines/mcr.h"
-#include "baselines/scr.h"
 #include "core/mate.h"
 #include "index/index_builder.h"
 #include "workload/generator.h"
@@ -60,14 +59,15 @@ TEST_P(DiscoveryE2eTest, SystemsAgreeAndMatchBruteForce) {
   ASSERT_TRUE(index.ok());
 
   MateSearch mate(&world.corpus, index->get());
-  ScrSearch scr(&world.corpus, index->get());
   McrSearch mcr(&world.corpus, index->get());
   DiscoveryOptions dopts;
   dopts.k = 5;
+  DiscoveryOptions scr_opts = dopts;  // SCR: no super-key row filter
+  scr_opts.use_row_filter = false;
 
   for (const QueryCase& qc : world.queries) {
     DiscoveryResult rm = mate.Discover(qc.query, qc.key_columns, dopts);
-    DiscoveryResult rs = scr.Discover(qc.query, qc.key_columns, dopts);
+    DiscoveryResult rs = mate.Discover(qc.query, qc.key_columns, scr_opts);
     DiscoveryResult rc = mcr.Discover(qc.query, qc.key_columns, dopts);
 
     ASSERT_EQ(rm.top_k.size(), rs.top_k.size());

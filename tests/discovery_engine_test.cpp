@@ -1,11 +1,13 @@
+// Batch discovery (RunDiscoveryBatch): MateSearch fanned out over a thread
+// pool must be bit-identical to the serial loop at any thread count.
+
 #include "core/discovery_engine.h"
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "index/index_builder.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/query_gen.h"
 #include "workload/vocabulary.h"
 
@@ -52,12 +54,18 @@ Fixture MakeFixture(size_t num_queries = 8) {
   return f;
 }
 
-std::vector<BatchQuery> ToBatch(const std::vector<QueryCase>& queries) {
-  std::vector<BatchQuery> batch;
-  for (const QueryCase& qc : queries) {
-    batch.push_back({&qc.query, qc.key_columns});
-  }
-  return batch;
+// MATE over every fixture query, fanned out on a `num_threads` pool.
+BatchResult RunMateBatch(const Fixture& f, const DiscoveryOptions& options,
+                         unsigned num_threads) {
+  const MateSearch search(&f.corpus, f.index.get());
+  ThreadPool pool(num_threads);
+  return RunDiscoveryBatch(
+      f.queries.size(),
+      [&](size_t i) {
+        const QueryCase& qc = f.queries[i];
+        return search.Discover(qc.query, qc.key_columns, options);
+      },
+      &pool);
 }
 
 // Everything except the wall-clock fields must match the serial path.
@@ -93,11 +101,7 @@ void CheckBatchMatchesSequential(unsigned num_threads) {
     serial.push_back(serial_engine.Discover(qc.query, qc.key_columns, options));
   }
 
-  DiscoveryEngine engine(&f.corpus, f.index.get());
-  BatchOptions batch_options;
-  batch_options.num_threads = num_threads;
-  BatchResult batch =
-      engine.DiscoverBatch(ToBatch(f.queries), options, batch_options);
+  BatchResult batch = RunMateBatch(f, options, num_threads);
 
   ASSERT_EQ(batch.results.size(), serial.size());
   for (size_t q = 0; q < serial.size(); ++q) {
@@ -133,11 +137,8 @@ TEST(DiscoveryEngineTest, BatchMatchesSequentialHardwareThreads) {
 
 TEST(DiscoveryEngineTest, EmptyBatch) {
   Fixture f = MakeFixture(1);
-  DiscoveryEngine engine(&f.corpus, f.index.get());
-  BatchOptions batch_options;
-  batch_options.num_threads = 4;
-  BatchResult batch =
-      engine.DiscoverBatch({}, DiscoveryOptions{}, batch_options);
+  f.queries.clear();
+  BatchResult batch = RunMateBatch(f, DiscoveryOptions{}, 4);
   EXPECT_TRUE(batch.results.empty());
   EXPECT_EQ(batch.stats.queries, 0u);
   EXPECT_EQ(batch.stats.QueriesPerSecond(), 0.0);  // no inf/NaN on 0 queries
@@ -146,13 +147,9 @@ TEST(DiscoveryEngineTest, EmptyBatch) {
 
 TEST(DiscoveryEngineTest, KZeroYieldsEmptyTopKPerQuery) {
   Fixture f = MakeFixture(4);
-  DiscoveryEngine engine(&f.corpus, f.index.get());
   DiscoveryOptions options;
   options.k = 0;
-  BatchOptions batch_options;
-  batch_options.num_threads = 2;
-  BatchResult batch =
-      engine.DiscoverBatch(ToBatch(f.queries), options, batch_options);
+  BatchResult batch = RunMateBatch(f, options, 2);
   ASSERT_EQ(batch.results.size(), f.queries.size());
   for (const DiscoveryResult& r : batch.results) {
     EXPECT_TRUE(r.top_k.empty());
@@ -163,8 +160,7 @@ TEST(DiscoveryEngineTest, KZeroYieldsEmptyTopKPerQuery) {
 TEST(DiscoveryEngineTest, GenericBatchKeepsResultsIndexAligned) {
   // Slot i must hold run_one(i)'s result regardless of which worker ran it.
   const size_t n = 64;
-  BatchOptions batch_options;
-  batch_options.num_threads = 4;
+  ThreadPool pool(4);
   BatchResult batch = RunDiscoveryBatch(
       n,
       [](size_t i) {
@@ -176,7 +172,7 @@ TEST(DiscoveryEngineTest, GenericBatchKeepsResultsIndexAligned) {
         r.stats.rows_checked = i;
         return r;
       },
-      batch_options);
+      &pool);
   ASSERT_EQ(batch.results.size(), n);
   for (size_t i = 0; i < n; ++i) {
     ASSERT_EQ(batch.results[i].top_k.size(), 1u);
@@ -187,18 +183,14 @@ TEST(DiscoveryEngineTest, GenericBatchKeepsResultsIndexAligned) {
 }
 
 TEST(DiscoveryEngineTest, RunnerSystemsAgreeAcrossThreadCounts) {
-  // The five SystemKinds ride the same fan-out; spot-check MATE options
-  // permutations through DiscoverBatch with exclusions intact.
+  // The five SystemKinds ride the same fan-out; spot-check the SCR shape
+  // of MATE's options across pool widths.
   Fixture f = MakeFixture(6);
-  DiscoveryEngine engine(&f.corpus, f.index.get());
   DiscoveryOptions options;
   options.k = 3;
   options.use_row_filter = false;  // SCR shape
-  BatchOptions one, many;
-  one.num_threads = 1;
-  many.num_threads = 4;
-  BatchResult a = engine.DiscoverBatch(ToBatch(f.queries), options, one);
-  BatchResult b = engine.DiscoverBatch(ToBatch(f.queries), options, many);
+  BatchResult a = RunMateBatch(f, options, 1);
+  BatchResult b = RunMateBatch(f, options, 4);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (size_t q = 0; q < a.results.size(); ++q) {
     ExpectSameResult(a.results[q], b.results[q], q);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/scr.h"
+#include "core/mate.h"
 #include "index/index_builder.h"
 
 namespace mate {
@@ -53,6 +53,15 @@ std::unique_ptr<InvertedIndex> Build(const Corpus& corpus) {
   return std::move(*index);
 }
 
+// The SCR baseline (§7.1.1): Algorithm 1 without super-key row filtering.
+DiscoveryResult RunScr(const Corpus& corpus, const InvertedIndex& index,
+                       const Table& query,
+                       const std::vector<ColumnId>& key_columns,
+                       DiscoveryOptions options) {
+  options.use_row_filter = false;
+  return MateSearch(&corpus, &index).Discover(query, key_columns, options);
+}
+
 TEST(McrTest, FindsTheFigure1Result) {
   Corpus corpus = MakeCorpus();
   auto index = Build(corpus);
@@ -73,11 +82,11 @@ TEST(McrTest, FetchesAllQueryColumns) {
   Corpus corpus = MakeCorpus();
   auto index = Build(corpus);
   McrSearch mcr(&corpus, index.get());
-  ScrSearch scr(&corpus, index.get());
   DiscoveryOptions options;
   options.k = 2;
   DiscoveryResult m = mcr.Discover(MakeQueryD(), {0, 1, 2}, options);
-  DiscoveryResult s = scr.Discover(MakeQueryD(), {0, 1, 2}, options);
+  DiscoveryResult s =
+      RunScr(corpus, *index, MakeQueryD(), {0, 1, 2}, options);
   EXPECT_GT(m.stats.pl_items_fetched, s.stats.pl_items_fetched);
 }
 
@@ -85,11 +94,11 @@ TEST(McrTest, AgreesWithScrOnScores) {
   Corpus corpus = MakeCorpus();
   auto index = Build(corpus);
   McrSearch mcr(&corpus, index.get());
-  ScrSearch scr(&corpus, index.get());
   DiscoveryOptions options;
   options.k = 3;
   DiscoveryResult m = mcr.Discover(MakeQueryD(), {0, 1, 2}, options);
-  DiscoveryResult s = scr.Discover(MakeQueryD(), {0, 1, 2}, options);
+  DiscoveryResult s =
+      RunScr(corpus, *index, MakeQueryD(), {0, 1, 2}, options);
   ASSERT_EQ(m.top_k.size(), s.top_k.size());
   for (size_t i = 0; i < m.top_k.size(); ++i) {
     EXPECT_EQ(m.top_k[i].table_id, s.top_k[i].table_id);

@@ -1,5 +1,6 @@
 // Phased Session::Open (async cold start): a lazily opened session must be
-// observationally identical to an eagerly opened one. Discover issued
+// observationally identical to a fully blocking one (Open + WaitUntilReady
+// + WaitCorpusResident). Discover issued
 // immediately after Open returns races the warmup latch on purpose — it
 // must block on readiness and return results bit-identical to eager load
 // across threads {1,4} and shards {1,8} (the serial-pool case exercises the
@@ -8,9 +9,9 @@
 // streams behind the readiness latch while corpus tables materialize on
 // demand, with queries racing the background corpus warmer. Also covers:
 // DiscoverBatch racing the latches, Save draining load + warmer,
-// move/destroy while warming, the eager_load / eager_corpus escape
-// hatches, header-served corpus stats, cold-table residency, v1 corpus
-// compatibility, and cell-blob corruption surfacing from the query paths.
+// move/destroy while warming, header-served corpus stats, cold-table
+// residency, rejection of retired corpus versions, and cell-blob
+// corruption surfacing from the query paths.
 
 #include "core/session.h"
 
@@ -98,13 +99,15 @@ Session OpenPaths(const std::string& corpus_path,
   options.index_path = index_path;
   options.num_threads = num_threads;
   options.cache_bytes = 0;  // every query pays full cost: real races only
-  // `eager` means eager on both axes: blocking index load AND fully
-  // materialized corpus — the pre-lazy reference behavior.
-  options.eager_load = eager;
-  options.eager_corpus = eager;
   options.warm_corpus = warm_corpus;
   auto session = Session::Open(std::move(options));
   EXPECT_TRUE(session.ok()) << session.status().ToString();
+  if (eager) {
+    // The fully blocking reference: index loaded AND every cell resident
+    // before the first query.
+    EXPECT_TRUE(session->WaitUntilReady().ok());
+    EXPECT_TRUE(session->WaitCorpusResident().ok());
+  }
   return std::move(*session);
 }
 
@@ -158,6 +161,7 @@ TEST(SessionOpenAsyncTest, LazyMatchesEagerAcrossThreadsAndShards) {
       // counters, so the reference must share them for a full bit-compare).
       Session eager = OpenSaved(saved, threads, /*eager=*/true);
       EXPECT_TRUE(eager.index_ready());
+      EXPECT_TRUE(eager.corpus_resident());
       const std::vector<QuerySpec> specs =
           MakeSpecs(saved.world, threads, shards);
       std::vector<DiscoveryResult> reference;
@@ -273,18 +277,6 @@ TEST(SessionOpenAsyncTest, CorpusOnlySessionIsAlwaysReady) {
   EXPECT_TRUE(session->WaitUntilReady().ok());
 }
 
-TEST(SessionOpenAsyncTest, EagerLoadEscapeHatchIsReadyAtOpenReturn) {
-  SavedWorld saved = SaveWorld("eager");
-  Session eager = OpenSaved(saved, /*num_threads=*/4, /*eager=*/true);
-  EXPECT_TRUE(eager.index_ready());  // no latch, no background work
-  EXPECT_TRUE(eager.WaitUntilReady().ok());
-  EXPECT_GT(eager.index().NumPostingEntries(), 0u);
-  // eager_corpus: every cell resident before Open returned.
-  EXPECT_TRUE(eager.corpus_resident());
-  EXPECT_TRUE(eager.WaitCorpusResident().ok());
-  RemoveWorld(saved);
-}
-
 // ---- corpus-side laziness ------------------------------------------
 
 // A table stuffed with values no generated query ever probes: candidates
@@ -369,7 +361,7 @@ TEST(SessionOpenAsyncTest, CorpusStatsComeFromTheHeaderWithoutAScan) {
   const CorpusStats expected = saved.world.corpus.ComputeStats();
   // Corpus-only session (no index to supply stats), no warmer: any stats
   // scan would have to materialize tables, so zero residency proves the
-  // snapshot came from the v2 header.
+  // snapshot came from the file header.
   SessionOptions options;
   options.corpus_path = saved.corpus_path;
   options.warm_corpus = false;
@@ -380,23 +372,23 @@ TEST(SessionOpenAsyncTest, CorpusStatsComeFromTheHeaderWithoutAScan) {
   RemoveWorld(saved);
 }
 
-TEST(SessionOpenAsyncTest, V1CorpusFileLoadsThroughTheLegacyPath) {
-  SavedWorld saved = SaveWorld("v1compat");
-  // Rewrite the corpus file as format v1; the index still matches (same
-  // tables), so cross-validation and discovery must work — just eagerly.
-  std::string v1;
-  SerializeCorpusV1(saved.world.corpus, &v1);
-  ASSERT_TRUE(WriteFileAtomic(saved.corpus_path, v1).ok());
-  Session session = OpenSaved(saved, /*num_threads=*/1, /*eager=*/false);
-  EXPECT_TRUE(session.corpus_resident());  // legacy load has nothing lazy
-  Session reference = OpenSaved(saved, /*num_threads=*/1, /*eager=*/true);
-  for (const QuerySpec& spec : MakeSpecs(saved.world, 1, 0)) {
-    auto a = session.Discover(spec);
-    auto b = reference.Discover(spec);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok());
-    ExpectBitIdentical(*b, *a);
-  }
+TEST(SessionOpenAsyncTest, V1CorpusFileIsRejectedAsUnsupported) {
+  SavedWorld saved = SaveWorld("v1reject");
+  // Stamp the corpus file as format v1: Open must fail with the typed
+  // version error, not fall back to a legacy parse.
+  auto bytes = ReadFileToString(saved.corpus_path);
+  ASSERT_TRUE(bytes.ok());
+  (*bytes)[8] = '\x01';  // version fixed32 little-endian low byte
+  ASSERT_TRUE(WriteFileAtomic(saved.corpus_path, *bytes).ok());
+  SessionOptions options;
+  options.corpus_path = saved.corpus_path;
+  options.index_path = saved.index_path;
+  auto session = Session::Open(std::move(options));
+  ASSERT_FALSE(session.ok());
+  EXPECT_TRUE(session.status().IsCorruption());
+  EXPECT_NE(session.status().message().find("unsupported version 1"),
+            std::string::npos)
+      << session.status().message();
   RemoveWorld(saved);
 }
 

@@ -14,7 +14,6 @@
 //                    [--corpus-budget-mb N]
 //   mate_cli dups    --corpus F [--min-overlap 0.85]
 //   mate_cli union   --corpus F --query Q.csv [--k 10]
-//   mate_cli convert-corpus --corpus F [--out G]
 //   mate_cli client  --port N [--host 127.0.0.1]
 //                    [--query Q.csv --key a,b | --batch DIR --key a,b]
 //                    [--k 10] [--tenant T] [--stats] [--ping]
@@ -43,23 +42,16 @@
 // Cold start: search opens the session *phased* — Open returns after the
 // index header, dictionary, and corpus/index validation, while the mmap'd
 // posting region and super keys stream in on the pool; the first query
-// blocks on the readiness latch. The corpus side is *lazy* (format v2/v3):
+// blocks on the readiness latch. The corpus side is *lazy* (format v3):
 // Open parses only the shape header, queries materialize just the tables
-// they evaluate, and a background warmer streams the rest. `--eager`
-// forces the old fully blocking index open, `--eager-corpus` the fully
-// materialized corpus load. Results are identical at every setting.
+// they evaluate, and a background warmer streams the rest.
 //
 // Memory governance: `--corpus-budget-mb N` arms a residency byte budget
 // over the lazy corpus — candidate tables (just their touched columns, for
-// single-column keys over a v3 file) materialize on demand and the
-// least-recently-used tables are evicted back down to the budget between
-// queries. Results stay bit-identical; search and stats report the
-// residency traffic (resident/peak bytes, evictions, re-parses).
-//
-// convert-corpus migrates a v1/v2 corpus file to format v3 (persisted
-// stats + lazy-loadable cell region with per-column extents) in place —
-// atomically via rename, after a round-trip equality check against the
-// original — or to --out.
+// single-column keys) materialize on demand and the least-recently-used
+// tables are evicted back down to the budget between queries. Results stay
+// bit-identical; search and stats report the residency traffic
+// (resident/peak bytes, evictions, re-parses).
 
 #include <algorithm>
 #include <filesystem>
@@ -75,7 +67,6 @@
 #include "obs/trace.h"
 #include "server/client.h"
 #include "hash/xash.h"
-#include "storage/corpus_io.h"
 #include "storage/csv.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -89,17 +80,14 @@ int Usage() {
       "  mate_cli index  --csv-dir DIR --corpus OUT --index OUT"
       " [--hash Xash] [--bits 128] [--threads N]\n"
       "  mate_cli search --corpus F --index F --query Q.csv --key a,b [--k N]"
-      " [--threads N] [--intra-threads N | --auto-parallel] [--eager]"
-      " [--eager-corpus] [--trace PATH]\n"
+      " [--threads N] [--intra-threads N | --auto-parallel] [--trace PATH]\n"
       "  mate_cli search --corpus F --index F --batch DIR --key a,b [--k N]"
       " [--threads N] [--cache-mb N] [--no-cache]"
-      " [--intra-threads N | --auto-parallel] [--eager] [--eager-corpus]"
-      " [--corpus-budget-mb N]\n"
+      " [--intra-threads N | --auto-parallel] [--corpus-budget-mb N]\n"
       "  mate_cli stats  --corpus F [--index F] [--verify-stats]"
       " [--corpus-budget-mb N]\n"
       "  mate_cli dups   --corpus F [--min-overlap 0.85]\n"
       "  mate_cli union  --corpus F --query Q.csv [--k N]\n"
-      "  mate_cli convert-corpus --corpus F [--out G]\n"
       "  mate_cli client --port N [--host 127.0.0.1]"
       " [--query Q.csv --key a,b | --batch DIR --key a,b] [--k N]"
       " [--tenant T] [--stats] [--ping] [--metrics]\n";
@@ -108,9 +96,9 @@ int Usage() {
 
 // Flags that take no value; stored with the value "1".
 bool IsBooleanFlag(std::string_view name) {
-  return name == "no-cache" || name == "auto-parallel" || name == "eager" ||
-         name == "eager-corpus" || name == "verify-stats" ||
-         name == "stats" || name == "ping" || name == "metrics";
+  return name == "no-cache" || name == "auto-parallel" ||
+         name == "verify-stats" || name == "stats" || name == "ping" ||
+         name == "metrics";
 }
 
 // --flag value parsing into a map; returns false on malformed input.
@@ -284,8 +272,6 @@ int CmdSearch(const std::map<std::string, std::string>& flags) {
   if (!cache_mb.ok()) return Fail(cache_mb.status());
   session_options.cache_bytes =
       flags.count("no-cache") ? 0 : size_t{*cache_mb} << 20;
-  session_options.eager_load = flags.count("eager") > 0;
-  session_options.eager_corpus = flags.count("eager-corpus") > 0;
   auto budget_bytes = ParseBudgetBytes(flags);
   if (!budget_bytes.ok()) return Fail(budget_bytes.status());
   session_options.corpus_budget_bytes = *budget_bytes;
@@ -472,7 +458,7 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
   if (!budget_bytes.ok()) return Fail(budget_bytes.status());
   auto session = OpenSession(corpus_path, index_path, *budget_bytes);
   if (!session.ok()) return Fail(session.status());
-  // The fast path reports the stored snapshot (corpus v2 header, or the
+  // The fast path reports the stored snapshot (corpus file header, or the
   // index file's copy) — no cell is parsed. `--verify-stats` re-runs the
   // full ComputeStats scan and cross-checks the snapshot, the diagnostic
   // to reach for after maintenance edits or a suspect file.
@@ -557,37 +543,6 @@ int CmdUnion(const std::map<std::string, std::string>& flags) {
     }
     std::cout << "\n";
   }
-  return 0;
-}
-
-// Migrates a corpus file to format v3: persisted stats in the header and a
-// size-prefixed cell region (with per-column extents) that later sessions
-// open lazily. Writes to --out, or in place (atomic rename) without it.
-// The rewrite is verified by a round-trip equality check *before* any byte
-// lands on disk.
-int CmdConvertCorpus(const std::map<std::string, std::string>& flags) {
-  const std::string corpus_path = FlagOr(flags, "corpus", "");
-  if (corpus_path.empty()) return Usage();
-  const std::string out_path = FlagOr(flags, "out", corpus_path);
-
-  auto corpus = LoadCorpus(corpus_path);  // eager; reads v1, v2, and v3
-  if (!corpus.ok()) return Fail(corpus.status());
-  const CorpusStats stats = corpus->ComputeStats();
-
-  std::string buffer;
-  SerializeCorpus(*corpus, stats, &buffer);
-  auto reparsed = DeserializeCorpus(buffer);
-  if (!reparsed.ok()) return Fail(reparsed.status());
-  if (!CorporaEqual(*corpus, *reparsed)) {
-    return Fail(Status::Internal(
-        "round-trip check failed: the v3 rewrite does not reproduce the "
-        "original corpus; " + corpus_path + " left untouched"));
-  }
-  if (Status s = WriteFileAtomic(out_path, buffer); !s.ok()) return Fail(s);
-  std::cout << "wrote " << out_path << " (format v3, " << buffer.size()
-            << " bytes, " << corpus->NumTables()
-            << " tables, round-trip verified)\n"
-            << "stats: " << stats.ToString() << "\n";
   return 0;
 }
 
@@ -721,7 +676,6 @@ int Run(int argc, char** argv) {
   if (command == "stats") return CmdStats(flags);
   if (command == "dups") return CmdDups(flags);
   if (command == "union") return CmdUnion(flags);
-  if (command == "convert-corpus") return CmdConvertCorpus(flags);
   if (command == "client") return CmdClient(flags);
   return Usage();
 }
