@@ -7,7 +7,9 @@
 // Shape to hold: speedup grows with threads (>= 2x at 8 threads on the
 // large-query workload), results identical at every width, and the `auto`
 // row engages the sharded path on its own (the query's PL traffic clears
-// the QueryExecutor::kAutoParallelMinItems gate).
+// the QueryExecutor::kAutoParallelMinItems gate). Each width also reports
+// verify_ns_per_row: summed row-loop time per row sent to verification,
+// which stays flat across widths when fan-out adds no per-row overhead.
 
 #include <algorithm>
 #include <iostream>
@@ -63,6 +65,35 @@ double TimeQuery(Session& session, const QuerySpec& spec,
   return best;
 }
 
+// Summed row_loop span time per row sent to verification, over one traced
+// run at the session's current width: the per-row cost of the verify path,
+// whose growth with width is the fan-out's inflation for identical work.
+double VerifyNsPerRow(Session& session, QuerySpec spec,
+                      const std::vector<DiscoveryResult>& reference) {
+  QueryTrace trace("verify_ns_per_row");
+  spec.trace = &trace;
+  auto result = session.Discover(spec);
+  if (!result.ok()) {
+    std::cerr << "traced Discover failed: " << result.status().ToString()
+              << "\n";
+    std::exit(1);
+  }
+  const uint64_t rows = result->stats.rows_sent_to_verification;
+  std::vector<DiscoveryResult> run;
+  run.push_back(std::move(*result));
+  if (!SameTopK(reference, run)) {
+    std::cerr << "ERROR: traced run diverged from the serial reference\n";
+    std::exit(1);
+  }
+  uint64_t row_loop_us = 0;
+  for (const TraceSpan& span : trace.Spans()) {
+    if (span.name == "row_loop") row_loop_us += span.duration_us;
+  }
+  return rows > 0 ? static_cast<double>(row_loop_us) * 1e3 /
+                        static_cast<double>(rows)
+                  : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,8 +139,10 @@ int main(int argc, char** argv) {
 
   std::vector<DiscoveryResult> serial;
   double serial_wall = 0.0;
-  ReportTable table(
-      {"Threads", "Shards", "Fanout", "Wall", "Speedup", "Identical"});
+  double serial_verify_ns = 0.0;
+  double widest_verify_ns = 0.0;
+  ReportTable table({"Threads", "Shards", "Fanout", "Wall", "Speedup",
+                     "Verify ns/row", "Identical"});
   BenchJsonWriter json("single_query_scaling", args.threads);
   for (unsigned width : widths) {
     session.SetNumThreads(width);
@@ -117,11 +150,16 @@ int main(int argc, char** argv) {
     uint64_t shards = 0, fanout = 0;
     const double wall = TimeQuery(session, spec, &serial, &shards, &fanout);
     if (width == 1) serial_wall = wall;
+    const double verify_ns = VerifyNsPerRow(session, spec, serial);
+    if (width == 1) serial_verify_ns = verify_ns;
+    widest_verify_ns = verify_ns;
     table.AddRow({std::to_string(width), std::to_string(shards),
                   std::to_string(fanout), FormatSeconds(wall),
                   FormatDouble(serial_wall / wall, 2) + "x",
-                  width == 1 ? "ref" : "yes"});
+                  FormatDouble(verify_ns, 1), width == 1 ? "ref" : "yes"});
     json.Add("width=" + std::to_string(width), "wall", wall, "s", shards);
+    json.Add("width=" + std::to_string(width), "verify_ns_per_row",
+             verify_ns, "ns", shards);
   }
 
   // Auto mode at full width: the gate must engage by itself on a query
@@ -133,8 +171,17 @@ int main(int argc, char** argv) {
       TimeQuery(session, spec, &serial, &auto_shards, &auto_fanout);
   table.AddRow({"auto", std::to_string(auto_shards),
                 std::to_string(auto_fanout), FormatSeconds(auto_wall),
-                FormatDouble(serial_wall / auto_wall, 2) + "x", "yes"});
+                FormatDouble(serial_wall / auto_wall, 2) + "x", "-", "yes"});
   table.Print(std::cout);
+  // Reported, not gated: per-row verify cost at full width vs serial (1.0 =
+  // no inflation; the fan-out work in ROADMAP aims to bring it there).
+  std::cout << "\nVerify ns/row at " << widths.back()
+            << " threads vs serial: "
+            << FormatDouble(serial_verify_ns > 0.0
+                                ? widest_verify_ns / serial_verify_ns
+                                : 0.0,
+                            2)
+            << "x\n";
 
   std::cout << "\nShape check: speedup grows with threads (>= 2x at 8 on "
                "the full-scale workload); every row returned bit-identical "

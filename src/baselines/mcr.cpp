@@ -83,6 +83,7 @@ DiscoveryResult McrSearch::Discover(const Table& query,
   TopKHeap<TableId> topk(static_cast<size_t>(options.k));
   std::unordered_map<TableId, std::vector<ColumnId>> best_mappings;
   MappingAccumulator acc;
+  RowVerifier verifier;
   std::vector<uint32_t> bound;
 
   for (TableId t : tables) {
@@ -105,10 +106,10 @@ DiscoveryResult McrSearch::Discover(const Table& query,
       bound.erase(std::unique(bound.begin(), bound.end()), bound.end());
 
       bool row_matched = false;
+      verifier.LoadRow(table, r);
       for (uint32_t combo_id : bound) {
-        if (VerifyComboInRow(table, r, combos[combo_id], combo_id,
-                             kInvalidColumnId, 0, &acc,
-                             &stats.value_comparisons)) {
+        if (verifier.VerifyCombo(combos[combo_id], combo_id, kInvalidColumnId,
+                                 0, &acc, &stats.value_comparisons)) {
           row_matched = true;
         }
       }

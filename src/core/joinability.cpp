@@ -1,22 +1,33 @@
 #include "core/joinability.h"
 
 #include <algorithm>
+#include <cassert>
+#include <unordered_set>
 
+#include "util/coding.h"
 #include "util/string_util.h"
 
 namespace mate {
 
 namespace {
-constexpr char kComboSep = '\x1F';
 
-std::string JoinCombo(const std::vector<std::string>& combo) {
+// Set key of a combo: each value length-prefixed, so no value content can
+// make two different combos collide. BruteForceJoinability builds its row
+// keys the same way.
+std::string ComboKey(const std::vector<std::string>& combo) {
   std::string key;
-  for (const std::string& v : combo) {
-    key.append(v);
-    key.push_back(kComboSep);
-  }
+  for (const std::string& v : combo) PutLengthPrefixed(&key, v);
   return key;
 }
+
+constexpr size_t kInitialSlots = 64;
+
+size_t HashColumns(const ColumnId* columns, size_t width) {
+  uint64_t h = 0x9E3779B97F4A7C15ULL;
+  for (size_t i = 0; i < width; ++i) h = (h ^ columns[i]) * 0x100000001B3ULL;
+  return static_cast<size_t>(h ^ (h >> 29));
+}
+
 }  // namespace
 
 std::vector<std::vector<std::string>> ExtractKeyCombos(
@@ -33,7 +44,7 @@ std::vector<std::vector<std::string>> ExtractKeyCombos(
       if (combo.back().empty()) has_empty = true;
     }
     if (has_empty) continue;
-    if (seen.insert(JoinCombo(combo)).second) {
+    if (seen.insert(ComboKey(combo)).second) {
       combos.push_back(std::move(combo));
     }
   }
@@ -42,95 +53,188 @@ std::vector<std::vector<std::string>> ExtractKeyCombos(
 
 void MappingAccumulator::AddMatch(const std::vector<ColumnId>& mapping,
                                   uint32_t combo_id) {
-  matches_[mapping].insert(combo_id);
+  if (width_ == 0) width_ = mapping.size();
+  assert(mapping.size() == width_);
+  if ((NumMappings() + 1) * 2 > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  size_t slot = HashColumns(mapping.data(), width_) & mask;
+  uint32_t id = 0;
+  while (true) {
+    const uint32_t entry = slots_[slot];
+    if (entry == 0) {
+      id = static_cast<uint32_t>(NumMappings());
+      columns_.insert(columns_.end(), mapping.begin(), mapping.end());
+      slots_[slot] = id + 1;
+      break;
+    }
+    if (std::equal(mapping.begin(), mapping.end(),
+                   columns_.begin() + (entry - 1) * width_)) {
+      id = entry - 1;
+      break;
+    }
+    slot = (slot + 1) & mask;
+  }
+  matches_.push_back((uint64_t{id} << 32) | combo_id);
+  summarized_ = false;
 }
 
-int64_t MappingAccumulator::MaxJoinability() const {
-  int64_t best = 0;
-  for (const auto& [mapping, combos] : matches_) {
-    best = std::max(best, static_cast<int64_t>(combos.size()));
+void MappingAccumulator::Grow() {
+  slots_.assign(std::max(kInitialSlots, slots_.size() * 2), 0);
+  const size_t mask = slots_.size() - 1;
+  for (uint32_t id = 0; id < NumMappings(); ++id) {
+    size_t slot = HashColumns(&columns_[id * width_], width_) & mask;
+    while (slots_[slot] != 0) slot = (slot + 1) & mask;
+    slots_[slot] = id + 1;
   }
-  return best;
 }
 
-std::vector<ColumnId> MappingAccumulator::BestMapping() const {
-  std::vector<ColumnId> best;
-  int64_t best_count = 0;
-  for (const auto& [mapping, combos] : matches_) {
-    int64_t count = static_cast<int64_t>(combos.size());
-    if (count > best_count ||
-        (count == best_count && (best.empty() || mapping < best))) {
-      best_count = count;
-      best = mapping;
-    }
-  }
-  return best;
+void MappingAccumulator::Clear() {
+  if (!columns_.empty()) std::fill(slots_.begin(), slots_.end(), 0);
+  width_ = 0;
+  columns_.clear();
+  matches_.clear();
+  summarized_ = true;
+  best_count_ = 0;
+  best_id_ = 0;
 }
 
-bool VerifyComboInRow(const Table& table, RowId row,
-                      const std::vector<std::string>& combo,
-                      uint32_t combo_id, ColumnId fixed_column,
-                      size_t fixed_position, MappingAccumulator* acc,
-                      uint64_t* value_comparisons) {
-  const size_t m = combo.size();
-  const size_t n = table.NumColumns();
-  if (m > n) return false;
-
-  // Columns matching each combo position.
-  std::vector<std::vector<ColumnId>> candidates(m);
-  for (size_t i = 0; i < m; ++i) {
-    if (fixed_column != kInvalidColumnId && i == fixed_position) {
-      ++*value_comparisons;
-      if (!NormalizedEquals(combo[i], table.cell(row, fixed_column))) {
-        return false;
-      }
-      candidates[i].push_back(fixed_column);
-      continue;
-    }
-    for (ColumnId c = 0; c < n; ++c) {
-      if (fixed_column != kInvalidColumnId && c == fixed_column) continue;
-      ++*value_comparisons;
-      if (NormalizedEquals(combo[i], table.cell(row, c))) {
-        candidates[i].push_back(c);
-      }
-    }
-    if (candidates[i].empty()) return false;
-  }
-
-  // Enumerate distinct-column assignments (smallest candidate sets first to
-  // fail fast), emitting each complete assignment as a mapping.
-  std::vector<size_t> order(m);
-  for (size_t i = 0; i < m; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return candidates[a].size() < candidates[b].size();
-  });
-
-  std::vector<ColumnId> mapping(m, kInvalidColumnId);
-  std::vector<char> used(n, 0);
-  int emitted = 0;
-  bool any = false;
-
-  auto backtrack = [&](auto&& self, size_t depth) -> void {
-    if (emitted >= kMaxMappingsPerRowCombo) return;
-    if (depth == m) {
-      acc->AddMatch(mapping, combo_id);
-      ++emitted;
-      any = true;
-      return;
-    }
-    size_t pos = order[depth];
-    for (ColumnId c : candidates[pos]) {
-      if (used[c]) continue;
-      used[c] = 1;
-      mapping[pos] = c;
-      self(self, depth + 1);
-      used[c] = 0;
-      mapping[pos] = kInvalidColumnId;
-      if (emitted >= kMaxMappingsPerRowCombo) return;
-    }
+void MappingAccumulator::Summarize() {
+  if (summarized_) return;
+  summarized_ = true;
+  // Sorted pairs group each mapping's combos together, duplicates adjacent.
+  std::sort(matches_.begin(), matches_.end());
+  best_count_ = 0;
+  best_id_ = 0;
+  const auto mapping_of = [this](uint32_t id) {
+    return columns_.begin() + id * width_;
   };
-  backtrack(backtrack, 0);
-  return any;
+  for (size_t i = 0; i < matches_.size();) {
+    const uint32_t id = static_cast<uint32_t>(matches_[i] >> 32);
+    int64_t count = 0;
+    for (uint64_t prev = ~uint64_t{0};
+         i < matches_.size() && (matches_[i] >> 32) == id; ++i) {
+      if (matches_[i] != prev) ++count;
+      prev = matches_[i];
+    }
+    if (count > best_count_ ||
+        (count == best_count_ &&
+         std::lexicographical_compare(mapping_of(id), mapping_of(id) + width_,
+                                      mapping_of(best_id_),
+                                      mapping_of(best_id_) + width_))) {
+      best_count_ = count;
+      best_id_ = id;
+    }
+  }
+}
+
+int64_t MappingAccumulator::MaxJoinability() {
+  Summarize();
+  return best_count_;
+}
+
+std::vector<ColumnId> MappingAccumulator::BestMapping() {
+  Summarize();
+  if (best_count_ == 0) return {};
+  const auto begin = columns_.begin() + best_id_ * width_;
+  return std::vector<ColumnId>(begin, begin + width_);
+}
+
+void RowVerifier::LoadRow(const Table& table, RowId row) {
+  table_ = &table;
+  row_ = row;
+  n_ = table.NumColumns();
+  if (trimmed_at_.size() < n_) {
+    trimmed_at_.resize(n_, 0);
+    cells_.resize(n_);
+    used_.resize(n_, 0);
+  }
+  if (++epoch_ == 0) {  // wrapped: forget every stale view
+    std::fill(trimmed_at_.begin(), trimmed_at_.end(), 0);
+    epoch_ = 1;
+  }
+}
+
+std::string_view RowVerifier::Cell(ColumnId c) {
+  if (trimmed_at_[c] != epoch_) {
+    cells_[c] = Trim(table_->cell(row_, c));
+    trimmed_at_[c] = epoch_;
+  }
+  return cells_[c];
+}
+
+bool RowVerifier::VerifyCombo(const std::vector<std::string>& combo,
+                              uint32_t combo_id, ColumnId fixed_column,
+                              size_t fixed_position, MappingAccumulator* acc,
+                              uint64_t* value_comparisons) {
+  const size_t m = combo.size();
+  const size_t n = n_;
+  if (m > n) return false;
+  if (candidates_.size() < m * n) candidates_.resize(m * n);
+  if (counts_.size() < m) {
+    counts_.resize(m);
+    order_.resize(m);
+  }
+  const bool has_fixed = fixed_column != kInvalidColumnId;
+  // A free position compares every column but the fixed one.
+  const uint64_t scan_width = has_fixed ? n - 1 : n;
+
+  // Columns matching each combo position, position-major; a position with
+  // no match ends the check.
+  for (size_t i = 0; i < m; ++i) {
+    const std::string_view value = combo[i];
+    ColumnId* candidates = &candidates_[i * n];
+    uint32_t count = 0;
+    if (has_fixed && i == fixed_position) {
+      ++*value_comparisons;
+      if (!EqualsFolded(value, Cell(fixed_column))) return false;
+      candidates[count++] = fixed_column;
+    } else {
+      *value_comparisons += scan_width;
+      for (ColumnId c = 0; c < n; ++c) {
+        if (c == fixed_column) continue;
+        if (EqualsFolded(value, Cell(c))) candidates[count++] = c;
+      }
+      if (count == 0) return false;
+    }
+    counts_[i] = count;
+  }
+
+  // Enumerate distinct-column assignments, smallest candidate sets first to
+  // fail fast (stable, so equal counts keep position order), emitting each
+  // complete assignment as a mapping.
+  for (uint32_t i = 0; i < m; ++i) {
+    uint32_t j = i;
+    for (; j > 0 && counts_[order_[j - 1]] > counts_[i]; --j) {
+      order_[j] = order_[j - 1];
+    }
+    order_[j] = i;
+  }
+  mapping_.assign(m, kInvalidColumnId);
+  acc_ = acc;
+  combo_id_ = combo_id;
+  emitted_ = 0;
+  Enumerate(0);
+  return emitted_ > 0;
+}
+
+void RowVerifier::Enumerate(size_t depth) {
+  if (emitted_ >= kMaxMappingsPerRowCombo) return;
+  if (depth == mapping_.size()) {
+    acc_->AddMatch(mapping_, combo_id_);
+    ++emitted_;
+    return;
+  }
+  const uint32_t pos = order_[depth];
+  const ColumnId* candidates = &candidates_[pos * n_];
+  for (uint32_t k = 0; k < counts_[pos]; ++k) {
+    const ColumnId c = candidates[k];
+    if (used_[c]) continue;
+    used_[c] = 1;
+    mapping_[pos] = c;
+    Enumerate(depth + 1);
+    used_[c] = 0;
+    if (emitted_ >= kMaxMappingsPerRowCombo) return;
+  }
 }
 
 namespace {
@@ -151,8 +255,7 @@ void EnumerateMappings(const Table& candidate, size_t m,
       for (ColumnId c : *mapping) {
         std::string norm = NormalizeValue(candidate.cell(r, c));
         if (norm.empty()) has_empty = true;
-        key.append(norm);
-        key.push_back(kComboSep);
+        PutLengthPrefixed(&key, norm);
       }
       if (has_empty) continue;
       if (query_combos.count(key)) matched.insert(key);
@@ -187,7 +290,7 @@ BruteForceResult BruteForceJoinability(
 
   std::unordered_set<std::string> query_combos;
   for (const auto& combo : ExtractKeyCombos(query, key_columns)) {
-    query_combos.insert(JoinCombo(combo));
+    query_combos.insert(ComboKey(combo));
   }
   if (query_combos.empty()) return result;
 

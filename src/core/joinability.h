@@ -2,7 +2,7 @@
 // |pi_Q(R) ∩ pi_Y'(S)| — set semantics over distinct key combinations.
 //
 // Two implementations live here:
-//   * MappingAccumulator + VerifyComboInRow: the incremental, row-driven
+//   * MappingAccumulator + RowVerifier: the incremental, row-driven
 //     verification MATE and the baselines share (Algorithm 1's calculateJ).
 //   * BruteForceJoinability: the P(|T'|,|Q|)-mapping reference used as
 //     ground truth in tests and as the "Ideal" oracle in benches.
@@ -17,8 +17,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
 
 #include "storage/table.h"
@@ -32,34 +31,47 @@ namespace mate {
 std::vector<std::vector<std::string>> ExtractKeyCombos(
     const Table& query, const std::vector<ColumnId>& key_columns);
 
-/// Aggregates verified (mapping, combo) matches and reports the mapping
-/// with the most distinct matched combos — Equation 2's arg max.
+/// Aggregates verified (mapping, combo) matches for one candidate table and
+/// reports the mapping with the most distinct matched combos — Equation 2's
+/// arg max. Flat and allocation-free once warmed: mappings are interned in
+/// an open-addressed table keyed by the packed column tuple, matches are
+/// appended as (mapping id, combo id) pairs, and j plus the best mapping
+/// fall out of one pass over the sorted pairs. Clear() keeps the capacity,
+/// so one accumulator serves every table a shard evaluates.
 class MappingAccumulator {
  public:
   /// Records that query combo `combo_id` matches under `mapping` (mapping[i]
-  /// = the candidate column holding the i-th key value).
+  /// = the candidate column holding the i-th key value). Every mapping added
+  /// between two Clear() calls has the same width.
   void AddMatch(const std::vector<ColumnId>& mapping, uint32_t combo_id);
 
   /// Max distinct combos over any single mapping (0 if no matches).
-  int64_t MaxJoinability() const;
+  int64_t MaxJoinability();
 
   /// A best mapping (empty if no matches); ties resolve to the
   /// lexicographically smallest mapping for determinism.
-  std::vector<ColumnId> BestMapping() const;
+  std::vector<ColumnId> BestMapping();
 
-  void Clear() { matches_.clear(); }
+  /// Distinct mappings recorded since Clear().
+  size_t NumMappings() const {
+    return width_ == 0 ? 0 : columns_.size() / width_;
+  }
+
+  void Clear();
 
  private:
-  struct VectorHash {
-    size_t operator()(const std::vector<ColumnId>& v) const {
-      size_t h = 0x9E3779B97F4A7C15ULL;
-      for (ColumnId c : v) h = (h ^ c) * 0x100000001B3ULL;
-      return h;
-    }
-  };
-  std::unordered_map<std::vector<ColumnId>, std::unordered_set<uint32_t>,
-                     VectorHash>
-      matches_;
+  // Sorts matches_ and finds the best mapping; a no-op until the next
+  // AddMatch.
+  void Summarize();
+  void Grow();
+
+  size_t width_ = 0;               // columns per mapping
+  std::vector<ColumnId> columns_;  // mapping id -> its packed column tuple
+  std::vector<uint32_t> slots_;    // open-addressed: mapping id + 1, 0 = empty
+  std::vector<uint64_t> matches_;  // (mapping id << 32) | combo id
+  bool summarized_ = true;
+  int64_t best_count_ = 0;
+  uint32_t best_id_ = 0;
 };
 
 /// Safety valve for pathological rows (many repeated values): at most this
@@ -68,16 +80,52 @@ class MappingAccumulator {
 /// rows bind each key value to very few columns.
 inline constexpr int kMaxMappingsPerRowCombo = 128;
 
-/// Exact containment check of one combo in one candidate row. If every
-/// combo value occurs in the row, records all feasible distinct-column
-/// assignments in `acc` (those where column `fixed_column`, when not
-/// kInvalidColumnId, is assigned to combo position `fixed_position`) and
-/// returns true. `value_comparisons` is incremented per cell comparison.
-bool VerifyComboInRow(const Table& table, RowId row,
-                      const std::vector<std::string>& combo,
-                      uint32_t combo_id, ColumnId fixed_column,
-                      size_t fixed_position, MappingAccumulator* acc,
-                      uint64_t* value_comparisons);
+/// Exact verification of query combos against one candidate row at a time
+/// (Algorithm 1's calculateJ). LoadRow() selects the row; each cell is then
+/// trimmed at most once, on its first comparison, however many combos and
+/// positions compare it. The working arrays (the flat m x n candidate-column
+/// table, per-position counts, order, mapping, used flags) are reused
+/// across rows and tables, so verification allocates nothing once warmed.
+/// One verifier per evaluating thread.
+class RowVerifier {
+ public:
+  /// Makes `row` of `table` the row later VerifyCombo calls check. `table`
+  /// must outlive those calls.
+  void LoadRow(const Table& table, RowId row);
+
+  /// Exact containment check of one combo (normalized values) in the loaded
+  /// row. If every combo value occurs in the row, records all feasible
+  /// distinct-column assignments in `acc` (those where column
+  /// `fixed_column`, when not kInvalidColumnId, is assigned to combo
+  /// position `fixed_position`) and returns true. `value_comparisons` is
+  /// incremented per cell comparison.
+  bool VerifyCombo(const std::vector<std::string>& combo, uint32_t combo_id,
+                   ColumnId fixed_column, size_t fixed_position,
+                   MappingAccumulator* acc, uint64_t* value_comparisons);
+
+ private:
+  // The loaded row's cell `c`, trimmed.
+  std::string_view Cell(ColumnId c);
+  void Enumerate(size_t depth);
+
+  const Table* table_ = nullptr;
+  RowId row_ = 0;
+  // cells_[c] is valid for the loaded row iff trimmed_at_[c] == epoch_.
+  uint32_t epoch_ = 0;
+  std::vector<uint32_t> trimmed_at_;
+  std::vector<std::string_view> cells_;
+
+  // Per-combo working state.
+  size_t n_ = 0;                      // columns in the loaded row
+  std::vector<ColumnId> candidates_;  // m x n: position i's matching columns
+  std::vector<uint32_t> counts_;      // candidates per position
+  std::vector<uint32_t> order_;       // positions, fewest candidates first
+  std::vector<ColumnId> mapping_;
+  std::vector<char> used_;
+  MappingAccumulator* acc_ = nullptr;
+  uint32_t combo_id_ = 0;
+  int emitted_ = 0;
+};
 
 struct BruteForceResult {
   int64_t joinability = 0;

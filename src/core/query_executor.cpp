@@ -174,6 +174,7 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
   TopKHeap<TableId>& topk = out->topk;
   const SuperKeyStore& superkeys = index.superkeys();
   MappingAccumulator acc;
+  RowVerifier verifier;
 
   // Best provable score threshold right now (INT64_MIN = none yet).
   const auto prune_threshold = [&topk, floor] {
@@ -321,11 +322,11 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
               continue;
             }
             const uint32_t combo_id = combo_ids[c];
+            if (!row_passed_filter) verifier.LoadRow(table, row);
             row_passed_filter = true;
-            if (VerifyComboInRow(table, row, prep.combos[combo_id],
-                                 combo_id, item.entry.column_id,
-                                 prep.init_pos, &acc,
-                                 &stats.value_comparisons)) {
+            if (verifier.VerifyCombo(prep.combos[combo_id], combo_id,
+                                     item.entry.column_id, prep.init_pos,
+                                     &acc, &stats.value_comparisons)) {
               row_matched = true;
             }
           }

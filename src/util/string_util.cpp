@@ -7,24 +7,8 @@ namespace mate {
 
 std::string ToLower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  for (char& c : out) c = AsciiToLower(c);
   return out;
-}
-
-std::string_view Trim(std::string_view s) {
-  size_t begin = 0;
-  size_t end = s.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
 }
 
 std::string NormalizeValue(std::string_view raw) { return ToLower(Trim(raw)); }
@@ -69,17 +53,6 @@ bool ParseSmallUint(std::string_view s, unsigned max, unsigned* out) {
   for (char c : s) value = value * 10 + static_cast<uint64_t>(c - '0');
   if (value > max) return false;
   *out = static_cast<unsigned>(value);
-  return true;
-}
-
-bool NormalizedEquals(std::string_view normalized, std::string_view raw) {
-  std::string_view trimmed = Trim(raw);
-  if (trimmed.size() != normalized.size()) return false;
-  for (size_t i = 0; i < trimmed.size(); ++i) {
-    char c = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(trimmed[i])));
-    if (c != normalized[i]) return false;
-  }
   return true;
 }
 

@@ -1,6 +1,9 @@
 // String helpers shared across the storage, hash, and workload layers.
 // NormalizeValue defines the canonical cell-value form used both at indexing
 // time and at query time, so equi-join semantics are consistent everywhere.
+// Its two ASCII predicates, IsAsciiSpace and AsciiToLower, are the only
+// definition of whitespace and case: Trim, ToLower and the verification
+// compare EqualsFolded all use them, and bytes >= 0x80 are never folded.
 
 #ifndef MATE_UTIL_STRING_UTIL_H_
 #define MATE_UTIL_STRING_UTIL_H_
@@ -11,11 +14,44 @@
 
 namespace mate {
 
+/// ASCII whitespace, the "C" locale's isspace set: ' ', \t, \n, \v, \f, \r.
+inline constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || static_cast<unsigned char>(c - '\t') < 5;
+}
+
+/// Folds 'A'-'Z' to 'a'-'z'; every other byte is returned unchanged.
+inline constexpr char AsciiToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+
 /// ASCII-lowercases a copy of `s`.
 std::string ToLower(std::string_view s);
 
 /// Strips leading/trailing ASCII whitespace.
-std::string_view Trim(std::string_view s);
+inline std::string_view Trim(std::string_view s) {
+  // Most cells have nothing to strip: two byte tests decide.
+  if (s.empty() || (!IsAsciiSpace(s.front()) && !IsAsciiSpace(s.back()))) {
+    return s;
+  }
+  size_t begin = 0;
+  size_t end = s.size();
+  while (begin < end && IsAsciiSpace(s[begin])) ++begin;
+  while (end > begin && IsAsciiSpace(s[end - 1])) --end;
+  return s.substr(begin, end - begin);
+}
+
+/// True iff ToLower(trimmed) == normalized: sizes first, then a byte-wise
+/// ASCII fold. With `trimmed` = Trim(raw) this is NormalizeValue(raw) ==
+/// normalized without allocating — the exact-match predicate of joinability
+/// verification.
+inline bool EqualsFolded(std::string_view normalized,
+                         std::string_view trimmed) {
+  if (normalized.size() != trimmed.size()) return false;
+  for (size_t i = 0; i < trimmed.size(); ++i) {
+    if (AsciiToLower(trimmed[i]) != normalized[i]) return false;
+  }
+  return true;
+}
 
 /// Canonical form of a cell value for indexing and joining: trimmed and
 /// ASCII-lowercased (the paper's corpora are case-folded the same way).
@@ -35,11 +71,6 @@ bool IsAllDigits(std::string_view s);
 /// overflow, or out-of-range input — never throws. Shared by the CLI and
 /// bench flag parsers so validation policy cannot drift between them.
 bool ParseSmallUint(std::string_view s, unsigned max, unsigned* out);
-
-/// True iff NormalizeValue(raw) == normalized, computed without allocating.
-/// `normalized` must already be in canonical form. This is the exact-match
-/// predicate of the joinability verification hot path.
-bool NormalizedEquals(std::string_view normalized, std::string_view raw);
 
 /// Printable "a|b|c" rendering of a composite key, used in examples/benches.
 std::string FormatKeyCombo(const std::vector<std::string>& values);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "util/rng.h"
 #include "workload/vocabulary.h"
 
@@ -40,6 +43,17 @@ Table MakeCandidateT1() {
   return t;
 }
 
+// One-shot verification of `combo` (as combo 0) in row `row` of `t`.
+bool VerifyComboInRow(const Table& t, RowId row,
+                      const std::vector<std::string>& combo,
+                      ColumnId fixed_column, size_t fixed_position,
+                      MappingAccumulator* acc, uint64_t* value_comparisons) {
+  RowVerifier verifier;
+  verifier.LoadRow(t, row);
+  return verifier.VerifyCombo(combo, 0, fixed_column, fixed_position, acc,
+                              value_comparisons);
+}
+
 TEST(ExtractKeyCombosTest, DistinctNormalizedCombos) {
   Table d = MakeQueryD();
   auto combos = ExtractKeyCombos(d, {0, 1, 2});
@@ -70,6 +84,19 @@ TEST(ExtractKeyCombosTest, SkipsDeletedRows) {
   auto combos = ExtractKeyCombos(t, {0});
   ASSERT_EQ(combos.size(), 1u);
   EXPECT_EQ(combos[0][0], "two");
+}
+
+TEST(ExtractKeyCombosTest, SeparatorBytesCannotMergeCombos) {
+  // Values may hold any byte, so the combo set key must not depend on a
+  // separator: joined with '\x1F', these two combos would share one key.
+  Table t("q");
+  t.AddColumn("a");
+  t.AddColumn("b");
+  (void)t.AppendRow({"x\x1Fy", "z"});
+  (void)t.AppendRow({"x", "y\x1Fz"});
+  auto combos = ExtractKeyCombos(t, {0, 1});
+  ASSERT_EQ(combos.size(), 2u);
+  EXPECT_EQ(combos[1], (std::vector<std::string>{"x", "y\x1Fz"}));
 }
 
 TEST(BruteForceTest, Figure1GivesJoinabilityFive) {
@@ -115,6 +142,18 @@ TEST(BruteForceTest, SetSemanticsCountDistinctCombos) {
   EXPECT_EQ(BruteForceJoinability(q, {0, 1}, cand).joinability, 1);
 }
 
+TEST(BruteForceTest, SeparatorBytesCannotForgeAMatch) {
+  Table q("q");
+  q.AddColumn("a");
+  q.AddColumn("b");
+  (void)q.AppendRow({"x\x1Fy", "z"});
+  Table cand("c");
+  cand.AddColumn("c1");
+  cand.AddColumn("c2");
+  (void)cand.AppendRow({"x", "y\x1Fz"});
+  EXPECT_EQ(BruteForceJoinability(q, {0, 1}, cand).joinability, 0);
+}
+
 TEST(MappingAccumulatorTest, MaxOverMappings) {
   MappingAccumulator acc;
   acc.AddMatch({0, 1}, 0);
@@ -128,11 +167,100 @@ TEST(MappingAccumulatorTest, MaxOverMappings) {
   EXPECT_TRUE(acc.BestMapping().empty());
 }
 
+TEST(MappingAccumulatorTest, TiesResolveToSmallestMapping) {
+  // Insertion order must not matter: three mappings tie at j = 2.
+  MappingAccumulator acc;
+  acc.AddMatch({3, 1}, 0);
+  acc.AddMatch({1, 3}, 0);
+  acc.AddMatch({2, 0}, 0);
+  acc.AddMatch({3, 1}, 1);
+  acc.AddMatch({2, 0}, 1);
+  acc.AddMatch({1, 3}, 1);
+  acc.AddMatch({0, 4}, 2);
+  EXPECT_EQ(acc.MaxJoinability(), 2);
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{1, 3}));
+  // A later match breaks the tie and the summary follows it.
+  acc.AddMatch({3, 1}, 7);
+  EXPECT_EQ(acc.MaxJoinability(), 3);
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{3, 1}));
+}
+
+TEST(MappingAccumulatorTest, DuplicateCombosCountOnce) {
+  MappingAccumulator acc;
+  for (int rep = 0; rep < 5; ++rep) {
+    acc.AddMatch({0, 1}, 4);
+    acc.AddMatch({1, 0}, 4);
+    acc.AddMatch({1, 0}, 5);
+  }
+  EXPECT_EQ(acc.NumMappings(), 2u);
+  EXPECT_EQ(acc.MaxJoinability(), 2);
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{1, 0}));
+}
+
+TEST(MappingAccumulatorTest, GrowsPastInitialTableAndClearsForReuse) {
+  // 40 x 40 ordered pairs = 1600 distinct mappings, far beyond the initial
+  // open-addressed table; mapping (a, b) matches combos 0..(a + b) % 7.
+  MappingAccumulator acc;
+  for (int round = 0; round < 2; ++round) {
+    for (ColumnId a = 0; a < 40; ++a) {
+      for (ColumnId b = 0; b < 40; ++b) {
+        for (uint32_t combo = 0; combo <= (a + b) % 7; ++combo) {
+          acc.AddMatch({a, b}, combo);
+        }
+      }
+    }
+    EXPECT_EQ(acc.NumMappings(), 1600u);
+    EXPECT_EQ(acc.MaxJoinability(), 7);
+    EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 6}));
+    acc.Clear();
+    EXPECT_EQ(acc.NumMappings(), 0u);
+    EXPECT_EQ(acc.MaxJoinability(), 0);
+    EXPECT_TRUE(acc.BestMapping().empty());
+  }
+  // After Clear() the width may change.
+  acc.AddMatch({5, 6, 7}, 0);
+  acc.AddMatch({5, 6, 7}, 1);
+  EXPECT_EQ(acc.MaxJoinability(), 2);
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{5, 6, 7}));
+}
+
+TEST(MappingAccumulatorTest, RandomAgreementWithReferenceModel) {
+  // Reference: the map<mapping, set<combo>> the accumulator replaces.
+  Rng rng(77);
+  MappingAccumulator acc;
+  for (int trial = 0; trial < 200; ++trial) {
+    acc.Clear();
+    std::map<std::vector<ColumnId>, std::set<uint32_t>> model;
+    const size_t width = 1 + rng.Uniform(3);
+    const size_t matches = rng.Uniform(300);
+    for (size_t i = 0; i < matches; ++i) {
+      std::vector<ColumnId> mapping;
+      for (size_t w = 0; w < width; ++w) {
+        mapping.push_back(static_cast<ColumnId>(rng.Uniform(6)));
+      }
+      const uint32_t combo = static_cast<uint32_t>(rng.Uniform(20));
+      acc.AddMatch(mapping, combo);
+      model[mapping].insert(combo);
+    }
+    int64_t best = 0;
+    std::vector<ColumnId> best_mapping;
+    for (const auto& [mapping, combos] : model) {  // ascending: first wins
+      if (static_cast<int64_t>(combos.size()) > best) {
+        best = static_cast<int64_t>(combos.size());
+        best_mapping = mapping;
+      }
+    }
+    EXPECT_EQ(acc.NumMappings(), model.size()) << trial;
+    EXPECT_EQ(acc.MaxJoinability(), best) << trial;
+    EXPECT_EQ(acc.BestMapping(), best_mapping) << trial;
+  }
+}
+
 TEST(VerifyComboInRowTest, FindsMatchAndMapping) {
   Table t = MakeCandidateT1();
   MappingAccumulator acc;
   uint64_t cmp = 0;
-  EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"}, 0,
+  EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"},
                                kInvalidColumnId, 0, &acc, &cmp));
   EXPECT_EQ(acc.MaxJoinability(), 1);
   EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 1, 2}));
@@ -144,7 +272,7 @@ TEST(VerifyComboInRowTest, RejectsPartialMatch) {
   MappingAccumulator acc;
   uint64_t cmp = 0;
   // Row 4 is (Muhammad, Ali, US, Boxer): "lee" missing.
-  EXPECT_FALSE(VerifyComboInRow(t, 4, {"muhammad", "lee", "us"}, 0,
+  EXPECT_FALSE(VerifyComboInRow(t, 4, {"muhammad", "lee", "us"},
                                 kInvalidColumnId, 0, &acc, &cmp));
   EXPECT_EQ(acc.MaxJoinability(), 0);
 }
@@ -154,12 +282,12 @@ TEST(VerifyComboInRowTest, HonorsFixedColumn) {
   MappingAccumulator acc;
   uint64_t cmp = 0;
   // Fixing "us" (combo position 2) to column 2 works for row 1...
-  EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"}, 0,
+  EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"},
                                /*fixed_column=*/2, /*fixed_position=*/2, &acc,
                                &cmp));
   // ...but fixing it to column 3 ("Dancer") must fail.
   MappingAccumulator acc2;
-  EXPECT_FALSE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"}, 0,
+  EXPECT_FALSE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"},
                                 /*fixed_column=*/3, /*fixed_position=*/2,
                                 &acc2, &cmp));
 }
@@ -173,7 +301,7 @@ TEST(VerifyComboInRowTest, RequiresDistinctColumns) {
   uint64_t cmp = 0;
   // Both key values are "x" but the row has only one "x" column: the two
   // positions cannot map to distinct columns.
-  EXPECT_FALSE(VerifyComboInRow(t, 0, {"x", "x"}, 0, kInvalidColumnId, 0,
+  EXPECT_FALSE(VerifyComboInRow(t, 0, {"x", "x"}, kInvalidColumnId, 0,
                                 &acc, &cmp));
 }
 
@@ -186,10 +314,76 @@ TEST(VerifyComboInRowTest, EnumeratesAlternativeMappings) {
   MappingAccumulator acc;
   uint64_t cmp = 0;
   // "x" can map to column 0 or 1: both assignments must be recorded.
-  EXPECT_TRUE(VerifyComboInRow(t, 0, {"x", "y"}, 0, kInvalidColumnId, 0,
+  EXPECT_TRUE(VerifyComboInRow(t, 0, {"x", "y"}, kInvalidColumnId, 0,
                                &acc, &cmp));
   acc.AddMatch({0, 2}, 1);  // a second combo under one of the mappings
   EXPECT_EQ(acc.MaxJoinability(), 2);
+}
+
+TEST(VerifyComboInRowTest, MappingCapBoundsEnumeration) {
+  // Row 0 repeats "x" in all 14 columns, so the combo (x, x) has 14 * 13 =
+  // 182 distinct-column assignments; the cap keeps the first 128 in
+  // enumeration order: position 0 on columns 0..8 with all 13 partners,
+  // then column 9 with partners 0..8, 10 and 11. Row 1 holds "x" only in
+  // columns 12 and 13, and matches combo 1 under (12, 13) and (13, 12).
+  constexpr size_t kColumns = 14;
+  Table t("t");
+  for (size_t c = 0; c < kColumns; ++c) t.AddColumn("c" + std::to_string(c));
+  (void)t.AppendRow(std::vector<std::string>(kColumns, "x"));
+  std::vector<std::string> sparse(kColumns, "o");
+  sparse[12] = sparse[13] = " X ";
+  (void)t.AppendRow(std::vector<std::string>(sparse));
+
+  MappingAccumulator acc;
+  RowVerifier verifier;
+  uint64_t cmp = 0;
+  verifier.LoadRow(t, 0);
+  EXPECT_TRUE(verifier.VerifyCombo({"x", "x"}, 0, kInvalidColumnId, 0, &acc,
+                                   &cmp));
+  EXPECT_EQ(acc.NumMappings(), static_cast<size_t>(kMaxMappingsPerRowCombo));
+  verifier.LoadRow(t, 1);
+  EXPECT_TRUE(verifier.VerifyCombo({"x", "x"}, 1, kInvalidColumnId, 0, &acc,
+                                   &cmp));
+  EXPECT_EQ(acc.NumMappings(), kMaxMappingsPerRowCombo + 2u);
+  EXPECT_EQ(cmp, 4u * kColumns);
+  // Uncapped, (12, 13) would hold both combos and j would be 2: the cap
+  // under-counts, deterministically.
+  EXPECT_EQ(acc.MaxJoinability(), 1);
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 1}));
+  // The last mapping kept is (9, 11); (9, 12) was cut.
+  acc.AddMatch({9, 11}, 2);
+  EXPECT_EQ(acc.MaxJoinability(), 2);
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{9, 11}));
+  acc.AddMatch({9, 12}, 2);
+  EXPECT_EQ(acc.NumMappings(), kMaxMappingsPerRowCombo + 3u);
+}
+
+TEST(VerifyComboInRowTest, ReusedVerifierMatchesFreshOne) {
+  // One verifier across rows and tables of different widths gives the same
+  // answers and comparison counts as a fresh verifier per check.
+  Table wide = MakeCandidateT1();
+  Table narrow("n");
+  narrow.AddColumn("a");
+  narrow.AddColumn("b");
+  (void)narrow.AppendRow({" lee ", "MUHAMMAD"});
+  const std::vector<std::string> combo = {"muhammad", "lee"};
+  RowVerifier shared;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Table* t : {&wide, &narrow}) {
+      for (RowId r = 0; r < t->NumRows(); ++r) {
+        MappingAccumulator acc_shared, acc_fresh;
+        uint64_t cmp_shared = 0, cmp_fresh = 0;
+        shared.LoadRow(*t, r);
+        const bool got = shared.VerifyCombo(combo, 0, kInvalidColumnId, 0,
+                                            &acc_shared, &cmp_shared);
+        const bool want = VerifyComboInRow(*t, r, combo, kInvalidColumnId,
+                                           0, &acc_fresh, &cmp_fresh);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(cmp_shared, cmp_fresh);
+        EXPECT_EQ(acc_shared.BestMapping(), acc_fresh.BestMapping());
+      }
+    }
+  }
 }
 
 TEST(VerifyComboInRowTest, RandomAgreementWithBruteForce) {
@@ -219,8 +413,8 @@ TEST(VerifyComboInRowTest, RandomAgreementWithBruteForce) {
 
     MappingAccumulator acc;
     uint64_t cmp = 0;
-    bool verified = VerifyComboInRow(cand, 0, combo, 0, kInvalidColumnId, 0,
-                                     &acc, &cmp);
+    bool verified =
+        VerifyComboInRow(cand, 0, combo, kInvalidColumnId, 0, &acc, &cmp);
     int64_t brute = BruteForceJoinability(query, key_cols, cand).joinability;
     EXPECT_EQ(verified, brute > 0) << trial;
     EXPECT_EQ(acc.MaxJoinability(), brute) << trial;
