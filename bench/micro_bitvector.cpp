@@ -52,19 +52,6 @@ void BM_SubsetNonCoveringFirstWord(benchmark::State& state) {
 }
 BENCHMARK(BM_SubsetNonCoveringFirstWord)->Arg(128)->Arg(256)->Arg(512);
 
-void BM_RotateRange(benchmark::State& state) {
-  const size_t bits = static_cast<size_t>(state.range(0));
-  Rng rng(4);
-  BitVector v = RandomKey(&rng, bits, 20);
-  size_t region = bits - 17;
-  size_t k = 7;
-  for (auto _ : state) {
-    v.RotateRangeLeft(17, region, k);
-    benchmark::DoNotOptimize(v);
-  }
-}
-BENCHMARK(BM_RotateRange)->Arg(128)->Arg(256)->Arg(512);
-
 void BM_CountOnes(benchmark::State& state) {
   const size_t bits = static_cast<size_t>(state.range(0));
   Rng rng(5);

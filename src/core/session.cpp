@@ -175,13 +175,10 @@ Result<Session> Session::Open(SessionOptions options) {
   // reads of the old blocking Open. Every query path blocks on `done`
   // before touching the index, and QuiesceLoad covers teardown (including
   // the early error returns further down: ~Session waits the latch).
-  bool have_stats = false;
   if (!options.index_path.empty()) {
     MATE_ASSIGN_OR_RETURN(PhasedIndexLoad load,
                           PhasedIndexLoad::Begin(options.index_path));
     session.hash_family_ = load.hash_family();
-    session.corpus_stats_ = load.corpus_stats();
-    have_stats = session.corpus_stats_.num_cells > 0;
     session.index_ = load.TakeIndex();
     auto pending = std::make_shared<PendingLoad>(std::move(load));
     session.pending_ = pending;
@@ -233,18 +230,24 @@ Result<Session> Session::Open(SessionOptions options) {
         session.index_,
         BuildIndexWithReport(session.corpus_, options.build_options,
                              &session.build_report_));
-    session.corpus_stats_ = session.build_report_.corpus_stats;
     session.hash_family_ = options.build_options.hash_family;
-    have_stats = true;
     if (options.validate) {
       MATE_RETURN_IF_ERROR(
           ValidateIndexMatchesCorpus(session.corpus_, *session.index_));
     }
   }
-  // Stats priority: what the index was built with (hash parameterization
-  // must match), else the corpus file header's persisted stats (satisfying a
-  // lazy open without a scan), else the full ComputeStats scan — which
-  // materializes a lazy corpus, making it effectively eager.
+  // Stats priority: what the index's hash was built with (on every index
+  // path: phase 1 of a load set them before the loader task started, so
+  // reading them does not race it), else the corpus file header's persisted
+  // stats (satisfying a lazy open without a scan), else the full
+  // ComputeStats scan — which materializes a lazy corpus, making it
+  // effectively eager.
+  bool have_stats = false;
+  if (session.index_ != nullptr &&
+      session.index_->corpus_stats().num_cells > 0) {
+    session.corpus_stats_ = session.index_->corpus_stats();
+    have_stats = true;
+  }
   if (!have_stats && corpus_file_stats) {
     session.corpus_stats_ = corpus_header_stats;
     have_stats = true;
@@ -603,13 +606,15 @@ void Session::ConfigureCache(size_t bytes) {
 }
 
 Status Session::ResetHash(HashFamily family, size_t hash_bits) {
-  std::unique_ptr<RowHashFunction> hash = MakeRowHash(
-      family, hash_bits,
-      corpus_stats_.num_cells > 0 ? &corpus_stats_ : nullptr);
+  const bool use_stats = corpus_stats_.num_cells > 0;
+  std::unique_ptr<RowHashFunction> hash =
+      MakeRowHash(family, hash_bits, use_stats ? &corpus_stats_ : nullptr);
   if (hash == nullptr) {
     return Status::InvalidArgument("unsupported hash configuration");
   }
-  return ResetHash(family, std::move(hash));
+  MATE_RETURN_IF_ERROR(ResetHash(family, std::move(hash)));
+  index_->set_corpus_stats(use_stats ? corpus_stats_ : CorpusStats{});
+  return Status::OK();
 }
 
 Status Session::ResetHash(HashFamily family,
@@ -641,8 +646,10 @@ Status Session::Save(const std::string& corpus_path,
   // corpus as of the last build/scan; maintenance edits can lag them.
   MATE_RETURN_IF_ERROR(SaveCorpus(corpus_, corpus_stats_, corpus_path));
   if (index_ != nullptr) {
-    MATE_RETURN_IF_ERROR(
-        SaveIndex(*index_, hash_family_, corpus_stats_, index_path));
+    // The index file carries the stats its hash was built with, which
+    // differ from the session's when the index was built without any.
+    MATE_RETURN_IF_ERROR(SaveIndex(*index_, hash_family_,
+                                   index_->corpus_stats(), index_path));
   }
   // Serialization made everything resident; shed back down to the budget
   // (no-op when unarmed) now that the scan is over.

@@ -333,7 +333,8 @@ class Session {
   /// invalidates the cache — every tenant partition, not just the shared
   /// one: re-keying changes what the index computes for all tenants alike.
   /// The registry overload parameterizes the hash from the session's
-  /// corpus stats, like the index builder does.
+  /// corpus stats, like the index builder does, and records them on the
+  /// index. A caller-built hash leaves the index's recorded stats alone.
   Status ResetHash(HashFamily family, size_t hash_bits);
   Status ResetHash(HashFamily family, std::unique_ptr<RowHashFunction> hash);
 
@@ -347,9 +348,9 @@ class Session {
   /// Replaces the (idle) pool with one of `num_threads` workers.
   void SetNumThreads(unsigned num_threads);
 
-  /// Stats of the corpus the session serves: from the index build when the
-  /// session built its index, from the index file when it loaded one, and
-  /// computed by a corpus scan otherwise.
+  /// Stats of the corpus the session serves: the stats the index's hash
+  /// was built with (built, loaded or adopted index), else the corpus file
+  /// header's, else computed by a corpus scan.
   const CorpusStats& corpus_stats() const { return corpus_stats_; }
   HashFamily hash_family() const { return hash_family_; }
   /// Build cost/size details; meaningful when Open built the index.

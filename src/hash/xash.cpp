@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -49,59 +50,55 @@ void Xash::AddValue(std::string_view v, BitVector* sig) const {
   }
   if (!options_.use_chars || len == 0) return;
 
-  // Character bits accumulate in a scratch signature first: the final
-  // rotation applies to *this value's* bits only, never to bits already
-  // OR-ed into `sig` by other row values.
-  BitVector scratch(hash_bits_);
-
-  // Distinct characters with occurrence count and position sum (1-based), to
-  // compute the average location lambda (§5.3.3).
-  struct CharInfo {
-    int id;
-    uint32_t count;
-    uint64_t position_sum;
-    uint32_t first_pos;  // order of first appearance, for the no-rare mode
+  // One pass over the value. Each distinct character claims one bit of
+  // `present` at its selection key: its position in Rarer order, or its
+  // order of first appearance in the use_rare_chars ablation. The lowest
+  // alpha-1 set bits are then exactly the characters a sort by that key
+  // would pick first. Occurrence count and 1-based position sum give the
+  // average location lambda (§5.3.3).
+  static_assert(kAlphabetSize <= 64, "selection keys must fit one word");
+  uint64_t present = 0;
+  std::array<uint8_t, kAlphabetSize> id_at{};
+  std::array<uint32_t, kAlphabetSize> count{};
+  std::array<uint64_t, kAlphabetSize> position_sum{};
+  const auto note = [&](int key, int id, size_t i) {
+    present |= uint64_t{1} << key;
+    id_at[key] = static_cast<uint8_t>(id);
+    ++count[key];
+    position_sum[key] += i + 1;
   };
-  std::array<int, kAlphabetSize> slot;
-  slot.fill(-1);
-  std::array<CharInfo, kAlphabetSize> infos;
-  int distinct = 0;
-  for (size_t i = 0; i < len; ++i) {
-    int id = NormalizeChar(v[i]);
-    if (slot[id] < 0) {
-      slot[id] = distinct;
-      infos[distinct] = {id, 1, i + 1, static_cast<uint32_t>(i)};
-      ++distinct;
-    } else {
-      CharInfo& info = infos[slot[id]];
-      ++info.count;
-      info.position_sum += i + 1;
+  if (options_.use_rare_chars) {
+    const CharFrequencyTable& freq = *frequencies_;
+    for (size_t i = 0; i < len; ++i) {
+      const int id = NormalizeChar(v[i]);
+      note(freq.rarity(id), id, i);
+    }
+  } else {
+    std::array<int8_t, kAlphabetSize> first_seen;
+    first_seen.fill(-1);
+    int distinct = 0;
+    for (size_t i = 0; i < len; ++i) {
+      const int id = NormalizeChar(v[i]);
+      if (first_seen[id] < 0) first_seen[id] = static_cast<int8_t>(distinct++);
+      note(first_seen[id], id, i);
     }
   }
 
-  // Order of selection: least frequent first (paper lemma), ties on smaller
-  // alphabet id; or first-appearance order in the ablation mode.
-  std::array<int, kAlphabetSize> order;
-  for (int i = 0; i < distinct; ++i) order[i] = i;
-  if (options_.use_rare_chars) {
-    std::sort(order.begin(), order.begin() + distinct, [&](int a, int b) {
-      return frequencies_->Rarer(infos[a].id, infos[b].id);
-    });
-  } else {
-    std::sort(order.begin(), order.begin() + distinct, [&](int a, int b) {
-      return infos[a].first_pos < infos[b].first_pos;
-    });
-  }
-
-  const int chars_to_encode =
-      std::min<int>(distinct, std::max(1, alpha_ - (options_.use_length ? 1 : 0)));
+  // §5.3.5 rotates this value's character bits left by len within the
+  // region: relative position p lands at (p - len) mod region. Bits already
+  // in `sig` (other values of the row) must not move, so each new bit is
+  // written straight to its rotated slot.
+  const size_t region = char_region_bits();
+  const size_t shift = options_.use_rotation ? region - len % region : 0;
   const size_t region_begin = char_region_begin();
-  for (int i = 0; i < chars_to_encode; ++i) {
-    const CharInfo& info = infos[order[i]];
+  int chars_to_encode = std::max(1, alpha_ - (options_.use_length ? 1 : 0));
+  for (; chars_to_encode > 0 && present != 0; --chars_to_encode) {
+    const int key = std::countr_zero(present);
+    present &= present - 1;
     size_t offset = 0;
     if (options_.use_location && beta_ > 1) {
       // x = ceil(lambda * beta / len), clamped to [1, beta].
-      double lambda = static_cast<double>(info.position_sum) / info.count;
+      double lambda = static_cast<double>(position_sum[key]) / count[key];
       size_t x = static_cast<size_t>(
           std::ceil(lambda * static_cast<double>(beta_) /
                     static_cast<double>(len)));
@@ -109,14 +106,10 @@ void Xash::AddValue(std::string_view v, BitVector* sig) const {
       if (x > beta_) x = beta_;
       offset = x - 1;
     }
-    scratch.SetBit(region_begin + static_cast<size_t>(info.id) * beta_ +
-                   offset);
+    size_t p = static_cast<size_t>(id_at[key]) * beta_ + offset + shift;
+    if (p >= region) p -= region;
+    sig->SetBit(region_begin + p);
   }
-
-  if (options_.use_rotation) {
-    scratch.RotateRangeLeft(region_begin, char_region_bits(), len);
-  }
-  sig->OrWith(scratch);
 }
 
 }  // namespace mate

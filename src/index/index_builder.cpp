@@ -45,6 +45,7 @@ Result<std::unique_ptr<InvertedIndex>> BuildIndexWithReport(
 
   Stopwatch build_timer;
   auto index = std::make_unique<InvertedIndex>(std::move(hash));
+  index->set_corpus_stats(stats);
   if (options.num_threads == 1) {
     for (TableId t = 0; t < corpus.NumTables(); ++t) {
       MATE_RETURN_IF_ERROR(index->InsertTable(corpus, t));

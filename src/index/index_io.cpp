@@ -81,6 +81,7 @@ class IndexLoader {
     if (hash == nullptr) return cursor.Corrupt("bad hash configuration");
     impl->owned = std::make_unique<InvertedIndex>(std::move(hash));
     impl->target = impl->owned.get();
+    if (used_stats) impl->target->corpus_stats_ = impl->stats;
 
     // Shape: per-table row counts, ahead of the bulky sections so loading
     // can cross-validate against a corpus before postings exist in memory.

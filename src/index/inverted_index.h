@@ -41,6 +41,13 @@ class InvertedIndex {
   const RowHashFunction& hash() const { return *hash_; }
   size_t hash_bits() const { return hash_->hash_bits(); }
 
+  /// Corpus statistics the hash was parameterized with (set by
+  /// BuildIndexWithReport, the index loader and Session::ResetHash); empty
+  /// (num_cells == 0) when the hash used none. SaveIndex persists exactly
+  /// these, so a reload rebuilds the same hash.
+  const CorpusStats& corpus_stats() const { return corpus_stats_; }
+  void set_corpus_stats(const CorpusStats& stats) { corpus_stats_ = stats; }
+
   const ValueDictionary& dictionary() const { return dictionary_; }
 
   /// Total posting entries across all lists.
@@ -136,6 +143,7 @@ class InvertedIndex {
   std::unordered_map<ValueId, PostingList> postings_;
   SuperKeyStore superkeys_;
   size_t num_posting_entries_ = 0;
+  CorpusStats corpus_stats_;
 
   friend class IndexLoader;
 };

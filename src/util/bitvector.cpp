@@ -1,47 +1,8 @@
 #include "util/bitvector.h"
 
-#include <algorithm>
-
 #include "util/coding.h"
 
 namespace mate {
-
-namespace {
-
-// Extracts `len` bits starting at `start` into a word array aligned at bit 0.
-void ExtractRange(const BitVector& v, size_t start, size_t len,
-                  std::array<uint64_t, BitVector::kMaxWords>* out) {
-  out->fill(0);
-  for (size_t i = 0; i < len; ++i) {
-    if (v.TestBit(start + i)) {
-      (*out)[i / 64] |= uint64_t{1} << (i % 64);
-    }
-  }
-}
-
-}  // namespace
-
-void BitVector::RotateRangeLeft(size_t start, size_t len, size_t k) {
-  assert(start + len <= num_bits_);
-  if (len == 0) return;
-  k %= len;
-  if (k == 0) return;
-
-  // The range is small (at most 512 bits) and rotation happens once per
-  // hashed value, so a bit-at-a-time extract/write keeps this obviously
-  // correct; the hot path (IsSubsetOf) never rotates.
-  std::array<uint64_t, kMaxWords> src;
-  ExtractRange(*this, start, len, &src);
-  for (size_t i = 0; i < len; ++i) {
-    size_t from = (i + k) % len;
-    bool bit = (src[from / 64] >> (from % 64)) & 1;
-    if (bit) {
-      SetBit(start + i);
-    } else {
-      ClearBit(start + i);
-    }
-  }
-}
 
 std::string BitVector::ToBinaryString() const {
   std::string out;

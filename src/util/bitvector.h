@@ -103,13 +103,6 @@ class BitVector {
         simd::Kernels().popcount(words_.data(), num_words_));
   }
 
-  /// Rotates the bit range [start, start+len) left by `k` positions, in the
-  /// paper's orientation (bit `start` is the left edge): the bit previously
-  /// at offset (i + k) mod len moves to offset i. Matches the §5.3.5
-  /// example: rotating "01100101" left by 3 yields "00101011". Bits outside
-  /// the range are untouched.
-  void RotateRangeLeft(size_t start, size_t len, size_t k);
-
   /// Raw word access (word 0 holds bits [0, 64)).
   uint64_t word(size_t w) const {
     assert(w < num_words_);

@@ -6,14 +6,6 @@
 
 namespace mate {
 
-int NormalizeChar(char c) {
-  unsigned char u = static_cast<unsigned char>(c);
-  if (u >= 'a' && u <= 'z') return u - 'a';
-  if (u >= 'A' && u <= 'Z') return u - 'A';
-  if (u >= '0' && u <= '9') return 26 + (u - '0');
-  return kOtherCharId;
-}
-
 char AlphabetSymbol(int id) {
   if (id >= 0 && id < 26) return static_cast<char>('a' + id);
   if (id >= 26 && id < 36) return static_cast<char>('0' + (id - 26));
@@ -30,6 +22,13 @@ CharFrequencyTable::CharFrequencyTable(
     return a < b;
   });
   for (int pos = 0; pos < kAlphabetSize; ++pos) rank_[order[pos]] = pos;
+
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int a, int b) { return Rarer(a, b); });
+  for (int pos = 0; pos < kAlphabetSize; ++pos) {
+    rarity_[order[pos]] = static_cast<uint8_t>(pos);
+  }
 }
 
 const CharFrequencyTable& CharFrequencyTable::English() {

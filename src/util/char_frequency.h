@@ -17,9 +17,28 @@ inline constexpr int kAlphabetSize = 37;
 /// Id of the bucket that absorbs spaces, punctuation, and non-ASCII bytes.
 inline constexpr int kOtherCharId = 36;
 
-/// Maps a byte to its alphabet id: 'a'-'z' (case-folded) -> 0..25,
+/// Alphabet id of every byte value: 'a'-'z' (case-folded) -> 0..25,
 /// '0'-'9' -> 26..35, everything else -> kOtherCharId.
-int NormalizeChar(char c);
+inline constexpr std::array<uint8_t, 256> kCharIds = [] {
+  std::array<uint8_t, 256> ids{};
+  for (int b = 0; b < 256; ++b) {
+    if (b >= 'a' && b <= 'z') {
+      ids[b] = static_cast<uint8_t>(b - 'a');
+    } else if (b >= 'A' && b <= 'Z') {
+      ids[b] = static_cast<uint8_t>(b - 'A');
+    } else if (b >= '0' && b <= '9') {
+      ids[b] = static_cast<uint8_t>(26 + (b - '0'));
+    } else {
+      ids[b] = kOtherCharId;
+    }
+  }
+  return ids;
+}();
+
+/// Maps a byte to its alphabet id (see kCharIds).
+inline int NormalizeChar(char c) {
+  return kCharIds[static_cast<unsigned char>(c)];
+}
 
 /// Representative printable symbol for an alphabet id ('*' for the bucket).
 char AlphabetSymbol(int id);
@@ -55,11 +74,16 @@ class CharFrequencyTable {
     return a < b;
   }
 
+  /// Position of symbol `id` in Rarer order: 0 = selected first (rarest).
+  /// Not the reverse of rank(), which breaks frequency ties the other way.
+  int rarity(int id) const { return rarity_[id]; }
+
  private:
   explicit CharFrequencyTable(const std::array<double, kAlphabetSize>& freq);
 
   std::array<double, kAlphabetSize> freq_;
   std::array<int, kAlphabetSize> rank_;
+  std::array<uint8_t, kAlphabetSize> rarity_;
 };
 
 }  // namespace mate

@@ -92,65 +92,6 @@ TEST(BitVectorTest, SubsetIsTheSuperKeyMaskEquation) {
   }
 }
 
-TEST(BitVectorTest, RotateMatchesPaperExample) {
-  // §5.3.5: a 3-bit rotation of '01100101' equals '00101011'.
-  auto v = BitVector::FromBinaryString("01100101");
-  ASSERT_TRUE(v.ok());
-  v->RotateRangeLeft(0, 8, 3);
-  EXPECT_EQ(v->ToBinaryString(), "00101011");
-}
-
-TEST(BitVectorTest, RotateFullCycleIsIdentity) {
-  Rng rng(11);
-  BitVector v(192);
-  for (int i = 0; i < 30; ++i) v.SetBit(rng.Uniform(192));
-  BitVector original = v;
-  v.RotateRangeLeft(17, 111, 111);  // k == len
-  EXPECT_EQ(v, original);
-  v.RotateRangeLeft(17, 111, 0);  // k == 0
-  EXPECT_EQ(v, original);
-}
-
-TEST(BitVectorTest, RotateOnlyTouchesRange) {
-  BitVector v(128);
-  v.SetBit(0);    // below range
-  v.SetBit(20);   // inside
-  v.SetBit(120);  // above range
-  v.RotateRangeLeft(17, 100, 3);
-  EXPECT_TRUE(v.TestBit(0));
-  EXPECT_TRUE(v.TestBit(120));
-  EXPECT_TRUE(v.TestBit(17));  // 20 moved down by 3
-  EXPECT_FALSE(v.TestBit(20));
-}
-
-TEST(BitVectorTest, RotateComposes) {
-  // Rotating by a then b equals rotating by (a+b) mod len.
-  Rng rng(13);
-  for (int trial = 0; trial < 50; ++trial) {
-    BitVector v(256);
-    for (int i = 0; i < 25; ++i) v.SetBit(rng.Uniform(256));
-    BitVector once = v;
-    size_t a = rng.Uniform(300);
-    size_t b = rng.Uniform(300);
-    BitVector twice = v;
-    twice.RotateRangeLeft(30, 200, a);
-    twice.RotateRangeLeft(30, 200, b);
-    once.RotateRangeLeft(30, 200, (a + b) % 200);
-    EXPECT_EQ(twice, once);
-  }
-}
-
-TEST(BitVectorTest, RotatePreservesPopcount) {
-  Rng rng(17);
-  for (int trial = 0; trial < 50; ++trial) {
-    BitVector v(512);
-    for (int i = 0; i < 40; ++i) v.SetBit(rng.Uniform(512));
-    size_t ones = v.CountOnes();
-    v.RotateRangeLeft(31, 481, rng.Uniform(481));
-    EXPECT_EQ(v.CountOnes(), ones);
-  }
-}
-
 TEST(BitVectorTest, BinaryStringRoundTrip) {
   Rng rng(19);
   for (int trial = 0; trial < 20; ++trial) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 namespace mate {
 namespace {
 
@@ -89,6 +92,51 @@ TEST(CharFrequencyTest, RanksAreAPermutation) {
     ASSERT_LT(r, kAlphabetSize);
     EXPECT_FALSE(seen[r]);
     seen[r] = true;
+  }
+}
+
+TEST(CharFrequencyTest, RarityOrderEqualsSortingByRarer) {
+  // Tied counts: zero-count symbols share the epsilon floor, and a, e and
+  // the digits share nonzero counts.
+  std::array<uint64_t, kAlphabetSize> tied_counts{};
+  tied_counts[NormalizeChar('a')] = 40;
+  tied_counts[NormalizeChar('e')] = 40;
+  for (char d = '0'; d <= '9'; ++d) tied_counts[NormalizeChar(d)] = 3;
+  tied_counts[kOtherCharId] = 100;
+  const CharFrequencyTable tied = CharFrequencyTable::FromCounts(tied_counts);
+  const CharFrequencyTable all_zero = CharFrequencyTable::FromCounts({});
+  for (const CharFrequencyTable* t :
+       {&CharFrequencyTable::English(), &tied, &all_zero}) {
+    std::array<int, kAlphabetSize> by_rarer;
+    for (int id = 0; id < kAlphabetSize; ++id) by_rarer[id] = id;
+    std::sort(by_rarer.begin(), by_rarer.end(),
+              [t](int a, int b) { return t->Rarer(a, b); });
+    for (int pos = 0; pos < kAlphabetSize; ++pos) {
+      EXPECT_EQ(t->rarity(by_rarer[pos]), pos) << "symbol " << by_rarer[pos];
+    }
+  }
+  // The English digits tie at 1.20: '0' is picked before '9', which is the
+  // opposite of what reversing rank() would give.
+  const CharFrequencyTable& english = CharFrequencyTable::English();
+  EXPECT_LT(english.rarity(NormalizeChar('0')),
+            english.rarity(NormalizeChar('9')));
+  EXPECT_LT(english.rank(NormalizeChar('0')),
+            english.rank(NormalizeChar('9')));
+}
+
+TEST(NormalizeCharTest, TableCoversEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    const int id = kCharIds[b];
+    if (b >= 'a' && b <= 'z') {
+      EXPECT_EQ(id, b - 'a');
+    } else if (b >= 'A' && b <= 'Z') {
+      EXPECT_EQ(id, b - 'A');
+    } else if (b >= '0' && b <= '9') {
+      EXPECT_EQ(id, 26 + (b - '0'));
+    } else {
+      EXPECT_EQ(id, kOtherCharId) << b;
+    }
+    EXPECT_EQ(NormalizeChar(static_cast<char>(b)), id);
   }
 }
 

@@ -372,6 +372,60 @@ TEST(SessionOpenAsyncTest, CorpusStatsComeFromTheHeaderWithoutAScan) {
   RemoveWorld(saved);
 }
 
+TEST(SessionOpenAsyncTest, AdoptedIndexSuppliesStatsWithoutAScan) {
+  World world = MakeWorld();
+  const CorpusStats expected = world.corpus.ComputeStats();
+  auto index = BuildIndex(world.corpus, IndexBuildOptions{});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_TRUE((*index)->corpus_stats() == expected);
+  // A corpus file without a stats header, opened lazily: the only stats
+  // source besides the adopted index is a scan, which would materialize
+  // tables. No warmer, so zero residency proves no scan ran.
+  const std::string path = testing::TempDir() + "/mate_async_adopt.corpus";
+  ASSERT_TRUE(SaveCorpus(world.corpus, path).ok());
+  bool header_stats = true;
+  auto lazy = OpenCorpusLazy(path, nullptr, &header_stats);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+  EXPECT_FALSE(header_stats);
+  SessionOptions options;
+  options.corpus = std::move(*lazy);
+  options.index = std::move(*index);
+  options.warm_corpus = false;
+  auto session = Session::Open(std::move(options));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(session->corpus_residency().resident_bytes, 0u);
+  EXPECT_EQ(session->corpus().tables_resident(), 0u);
+  EXPECT_TRUE(session->corpus_stats() == expected);
+  std::remove(path.c_str());
+}
+
+TEST(SessionOpenAsyncTest, IndexBuiltWithoutStatsSavesWithoutStats) {
+  // The session scans the corpus for its own stats, but the saved index
+  // must record that its hash used none, or a reload would rebuild a
+  // differently parameterized hash than the stored super keys came from.
+  const std::string corpus_path =
+      testing::TempDir() + "/mate_async_nostats.corpus";
+  const std::string index_path =
+      testing::TempDir() + "/mate_async_nostats.index";
+  SessionOptions build;
+  build.corpus = MakeWorld().corpus;
+  build.build_index = true;
+  build.build_options.use_corpus_stats = false;
+  auto built = Session::Open(std::move(build));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_GT(built->corpus_stats().num_cells, 0u);
+  EXPECT_EQ(built->index().corpus_stats().num_cells, 0u);
+  ASSERT_TRUE(built->Save(corpus_path, index_path).ok());
+
+  Session reopened = OpenPaths(corpus_path, index_path, /*num_threads=*/1,
+                               /*eager=*/true);
+  EXPECT_EQ(reopened.index().corpus_stats().num_cells, 0u);
+  const BitVector probe = reopened.index().hash().HashValue("probe value");
+  EXPECT_EQ(probe, built->index().hash().HashValue("probe value"));
+  std::remove(corpus_path.c_str());
+  std::remove(index_path.c_str());
+}
+
 TEST(SessionOpenAsyncTest, V1CorpusFileIsRejectedAsUnsupported) {
   SavedWorld saved = SaveWorld("v1reject");
   // Stamp the corpus file as format v1: Open must fail with the typed

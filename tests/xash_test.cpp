@@ -4,7 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "util/math_util.h"
+#include "util/rng.h"
 
 namespace mate {
 namespace {
@@ -13,6 +21,106 @@ XashOptions Opts(size_t bits) {
   XashOptions o;
   o.hash_bits = bits;
   return o;
+}
+
+// Rotates bits [start, start+len) of `v` left by k in the paper's
+// orientation (bit `start` is the left edge): the bit at offset
+// (i + k) mod len moves to offset i. Bit-serial on purpose: this is the
+// reference the library's direct placement is checked against.
+void RotateRangeLeft(BitVector* v, size_t start, size_t len, size_t k) {
+  const BitVector before = *v;
+  for (size_t i = 0; i < len; ++i) {
+    if (before.TestBit(start + (i + k) % len)) {
+      v->SetBit(start + i);
+    } else {
+      v->ClearBit(start + i);
+    }
+  }
+}
+
+// The scratch-and-rotate XASH construction the library used before
+// AddValue placed rotated bits directly: per-character info, a sort by
+// Rarer (or by first appearance), character bits into a scratch signature,
+// a bit-serial rotation of its character region, then an OR into `sig`.
+void ReferenceAddValue(const Xash& xash, const CharFrequencyTable& freq,
+                       std::string_view v, BitVector* sig) {
+  const XashOptions& o = xash.options();
+  const size_t len = v.size();
+  if (o.use_length) sig->SetBit(len % xash.length_segment_bits());
+  if (!o.use_chars || len == 0) return;
+  struct CharInfo {
+    int id;
+    uint32_t count;
+    uint64_t position_sum;
+    size_t first_pos;
+  };
+  std::vector<CharInfo> infos;
+  std::array<int, kAlphabetSize> slot;
+  slot.fill(-1);
+  for (size_t i = 0; i < len; ++i) {
+    const int id = NormalizeChar(v[i]);
+    if (slot[id] < 0) {
+      slot[id] = static_cast<int>(infos.size());
+      infos.push_back({id, 1, i + 1, i});
+    } else {
+      ++infos[slot[id]].count;
+      infos[slot[id]].position_sum += i + 1;
+    }
+  }
+  std::sort(infos.begin(), infos.end(),
+            [&](const CharInfo& a, const CharInfo& b) {
+              return o.use_rare_chars ? freq.Rarer(a.id, b.id)
+                                      : a.first_pos < b.first_pos;
+            });
+  const size_t chars = std::min<size_t>(
+      infos.size(),
+      static_cast<size_t>(std::max(1, xash.alpha() - (o.use_length ? 1 : 0))));
+  BitVector scratch(sig->num_bits());
+  for (size_t i = 0; i < chars; ++i) {
+    size_t offset = 0;
+    if (o.use_location && xash.beta() > 1) {
+      const double lambda =
+          static_cast<double>(infos[i].position_sum) / infos[i].count;
+      const size_t x = static_cast<size_t>(
+          std::ceil(lambda * static_cast<double>(xash.beta()) /
+                    static_cast<double>(len)));
+      offset = std::clamp<size_t>(x, 1, xash.beta()) - 1;
+    }
+    scratch.SetBit(xash.char_region_begin() +
+                   static_cast<size_t>(infos[i].id) * xash.beta() + offset);
+  }
+  if (o.use_rotation) {
+    RotateRangeLeft(&scratch, xash.char_region_begin(),
+                    xash.char_region_bits(), len % xash.char_region_bits());
+  }
+  sig->OrWith(scratch);
+}
+
+// Repeats a pangram with digits to `n` bytes: longer than the character
+// region when n > 111 (128-bit keys) or n > 481 (512-bit keys).
+std::string LongValue(size_t n) {
+  const std::string unit =
+      "the quick brown fox jumps over the lazy dog 0123456789 ";
+  std::string out;
+  while (out.size() < n) out += unit;
+  out.resize(n);
+  return out;
+}
+
+std::vector<std::string> GoldenValues() {
+  return {"",
+          "a",
+          "us",
+          "muhammad",
+          "boxer",
+          "birder",
+          "1997-01-01",
+          "Ansel Adams",
+          "value_42",
+          "\xC3\xA9t\xC3\xA9 caf\xC3\xA9",
+          "zzzz qqq xx jj",
+          LongValue(130),
+          LongValue(700)};
 }
 
 TEST(XashLayoutTest, PaperParameters128) {
@@ -113,8 +221,9 @@ TEST(XashTest, RareCharacterSelection) {
   BitVector sig = xash.HashValue("ethanqz");
   // Undo rotation (length 7) to inspect segments.
   BitVector unrotated = sig;
-  unrotated.RotateRangeLeft(xash.char_region_begin(), xash.char_region_bits(),
-                            xash.char_region_bits() - 7 % xash.char_region_bits());
+  RotateRangeLeft(&unrotated, xash.char_region_begin(),
+                  xash.char_region_bits(),
+                  xash.char_region_bits() - 7 % xash.char_region_bits());
   auto segment_has_bit = [&](char c) {
     size_t seg = xash.char_region_begin() +
                  static_cast<size_t>(NormalizeChar(c)) * xash.beta();
@@ -159,6 +268,23 @@ TEST(XashTest, RepeatedCharacterUsesAveragePosition) {
   EXPECT_TRUE(sig.TestBit(z_seg + 1));
 }
 
+TEST(XashTest, LocationKeepsFloatingPointCeil) {
+  // 'z' occurs 13 times in this 18-byte value at positions summing to 108,
+  // so exactly lambda*beta/len = (108/13)*13/18 = 6. The double evaluation
+  // the index was always built with rounds 108/13 up and yields 6.0000...1,
+  // whose ceil is 7: offset 6, not the exact-arithmetic offset 5.
+  XashOptions o = Opts(512);  // beta = 13
+  o.use_rotation = false;
+  Xash xash(o);
+  const std::string v = "zzzzzzzzzabcdzzzez";
+  ASSERT_EQ(v.size(), 18u);
+  BitVector sig = xash.HashValue(v);
+  const size_t z_seg = xash.char_region_begin() +
+                       static_cast<size_t>(NormalizeChar('z')) * xash.beta();
+  EXPECT_TRUE(sig.TestBit(z_seg + 6));
+  EXPECT_FALSE(sig.TestBit(z_seg + 5));
+}
+
 TEST(XashTest, RotationMovesCharacterBitsOnly) {
   XashOptions with = Opts(128);
   XashOptions without = Opts(128);
@@ -172,7 +298,7 @@ TEST(XashTest, RotationMovesCharacterBitsOnly) {
   }
   // ...character region is the unrotated one shifted by len=8.
   BitVector b_rot = b;
-  b_rot.RotateRangeLeft(xw.char_region_begin(), xw.char_region_bits(), 8);
+  RotateRangeLeft(&b_rot, xw.char_region_begin(), xw.char_region_bits(), 8);
   EXPECT_EQ(a, b_rot);
 }
 
@@ -215,8 +341,8 @@ TEST(XashTest, FromCorpusStatsUsesMeasuredFrequencies) {
   // Verify through behavior: hash "ze" and check the e-segment.
   BitVector sig = xash->HashValue("ze");
   BitVector unrot = sig;
-  unrot.RotateRangeLeft(xash->char_region_begin(), xash->char_region_bits(),
-                        xash->char_region_bits() - 2);
+  RotateRangeLeft(&unrot, xash->char_region_begin(),
+                  xash->char_region_bits(), xash->char_region_bits() - 2);
   size_t e_seg = xash->char_region_begin() +
                  static_cast<size_t>(NormalizeChar('e')) * xash->beta();
   bool e_encoded = false;
@@ -251,6 +377,151 @@ TEST(XashTest, SignatureNeverExceedsHashWidth) {
     EXPECT_EQ(sig.num_bits(), bits);
     EXPECT_EQ(xash.length_segment_bits() + xash.char_region_bits(), bits);
   }
+}
+
+TEST(XashReferenceTest, RotationMatchesPaperExample) {
+  // §5.3.5: a 3-bit rotation of '01100101' equals '00101011'.
+  auto v = BitVector::FromBinaryString("01100101");
+  ASSERT_TRUE(v.ok());
+  RotateRangeLeft(&*v, 0, 8, 3);
+  EXPECT_EQ(v->ToBinaryString(), "00101011");
+}
+
+// Signatures of GoldenValues() under default options (English frequencies,
+// alpha 6), recorded from the scratch-and-rotate construction. Saved
+// indexes store super keys ORed from exactly these bits, so any change
+// here would leave them stale.
+void ExpectGoldenSignatures(size_t bits,
+                            const std::vector<std::string>& expected) {
+  const Xash xash(Opts(bits));
+  const std::vector<std::string> values = GoldenValues();
+  ASSERT_EQ(values.size(), expected.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(xash.HashValue(values[i]).ToHexString(), expected[i])
+        << "bits=" << bits << " value #" << i;
+  }
+}
+
+TEST(XashGoldenTest, Signatures128MatchRecordedBits) {
+  const std::vector<std::string> expected = {
+      "00000000000000010000000000000000",
+      "00000000000400020000000000000000",
+      "00000000000000040000000000001080",
+      "00004000801001000400000000000020",
+      "00800000040000204000000000040002",
+      "00000008022000402000000000000001",
+      "00000000000004000011080002800000",
+      "20001100000208000008000000000000",
+      "00000000000001000080002080000140",
+      "80000000008008001088000000000000",
+      "00100001000040000001000000004400",
+      "00008000240008000000000000000410",
+      "08200001000000082400000000000000",
+  };
+  ExpectGoldenSignatures(128, expected);
+}
+
+TEST(XashGoldenTest, Signatures512MatchRecordedBits) {
+  const std::vector<std::string> expected = {
+      "00000000000000010000000000000000" "00000000000000000000000000000000"
+      "00000000000000000000000000000000" "00000000000000000000000000000000",
+      "00000400000000020000000000000000" "00000000000000000000000000000000"
+      "00000000000000000000000000000000" "00000000000000000000000000000000",
+      "00000000000000040000000000000000" "00000000000000000000000000000000"
+      "00000080000800000000000000000000" "00000000000000000000000000000000",
+      "00000000800001000040000000000400" "02000000000000000000000000000000"
+      "00000000400000000000000000000000" "00000000000000000000000000000000",
+      "00000200000000200000000001000000" "00000000000000000000000000200000"
+      "00000000000000080000000000001000" "00000000000000000000000000000000",
+      "00000100000000400000000000800100" "00000000000000208000000000000000"
+      "00000000000000000000000000000000" "00000000000000000000000000000000",
+      "00000000000004000000000000000000" "00000000000000000000000000000000"
+      "00000000000000000801000000000000" "00000000000000000002000080000080",
+      "00000000000008000000000000000010" "08000100000000000000000000000000"
+      "00000000000000400000000000000000" "00000000000000000000800000000000",
+      "00000000000001000000000000000000" "00000000000000000000000000000000"
+      "00000202000000000000000000000000" "00000100000080000010000000000000",
+      "00400000000008000000000080000000" "00000000000000000000000000000000"
+      "00000000000040000000000000000000" "00000000000000004000400000000000",
+      "00000000000040000000000000000000" "00000000000400000000008000000000"
+      "00000000000000000000000001000020" "00000000000000000000200000000000",
+      "00000020000000400004000000000000" "00000000000000000000010000008000"
+      "00000000000000000000000000000000" "00000000000000000080000000000000",
+      "00000000000400000020000000000000" "00000000000080000000000000000000"
+      "00000000000000000000000000000000" "00002001000000000800000000000000",
+  };
+  ExpectGoldenSignatures(512, expected);
+}
+
+// A differential-test value: a short word over a small alphabet (repeats
+// and frequency ties), arbitrary bytes 0-255, or a value longer than every
+// character region.
+std::string RandomValue(Rng* rng) {
+  static constexpr char kSmall[] = "aeqxz09 -.";
+  const uint64_t shape = rng->Uniform(10);
+  const size_t len = shape < 7   ? rng->Uniform(25)
+                     : shape < 9 ? 25 + rng->Uniform(176)
+                                 : 400 + rng->Uniform(801);
+  const bool raw_bytes = rng->Uniform(2) == 0;
+  std::string v(len, ' ');
+  for (char& c : v) {
+    c = raw_bytes ? static_cast<char>(rng->Uniform(256))
+                  : kSmall[rng->Uniform(sizeof(kSmall) - 1)];
+  }
+  return v;
+}
+
+TEST(XashDifferentialTest, MatchesBitSerialReference) {
+  // Zero-count symbols (all tied at the epsilon floor) and equal nonzero
+  // counts exercise Rarer's id tie-break.
+  std::array<uint64_t, kAlphabetSize> counts{};
+  counts[NormalizeChar('a')] = 500;
+  counts[NormalizeChar('e')] = 500;
+  counts[NormalizeChar('x')] = 7;
+  counts[NormalizeChar('z')] = 7;
+  counts[NormalizeChar('0')] = 7;
+  counts[kOtherCharId] = 900;
+  const CharFrequencyTable tied = CharFrequencyTable::FromCounts(counts);
+
+  Rng rng(20110318);
+  size_t checked = 0;
+  for (size_t bits : {64u, 128u, 192u, 256u, 512u}) {
+    for (const CharFrequencyTable* freq :
+         {&CharFrequencyTable::English(), &tied}) {
+      // Every combination of the five feature switches.
+      for (int switches = 0; switches < 32; ++switches) {
+        XashOptions o = Opts(bits);
+        o.frequencies = freq;
+        o.use_length = (switches & 1) != 0;
+        o.use_chars = (switches & 2) != 0;
+        o.use_location = (switches & 4) != 0;
+        o.use_rotation = (switches & 8) != 0;
+        o.use_rare_chars = (switches & 16) != 0;
+        o.alpha = std::array<int, 4>{0, 2, 9, 40}[rng.Uniform(4)];
+        const Xash xash(o);
+        for (int n = 0; n < 100; ++n) {
+          const std::string v = RandomValue(&rng);
+          // Accumulate into a signature that already holds other bits, as
+          // MakeSuperKey does for the second and later values of a row.
+          BitVector got(bits), want(bits);
+          for (size_t w = 0; w < got.num_words(); ++w) {
+            const uint64_t prior = rng.Uniform(UINT64_MAX) &
+                                   rng.Uniform(UINT64_MAX) &
+                                   rng.Uniform(UINT64_MAX);
+            got.set_word(w, prior);
+            want.set_word(w, prior);
+          }
+          xash.AddValue(v, &got);
+          ReferenceAddValue(xash, *freq, v, &want);
+          ASSERT_EQ(got, want) << "bits=" << bits << " switches=" << switches
+                               << " alpha=" << xash.alpha()
+                               << " len=" << v.size();
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 5u * 2 * 32 * 100);
 }
 
 }  // namespace
