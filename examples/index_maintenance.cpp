@@ -30,6 +30,16 @@ int64_t TopJoinability(Session* session, const Table& query,
   return result->JoinabilityAt(0);
 }
 
+// Prints one joinability next to the value the edit should produce and
+// remembers a mismatch, so the example fails loudly when maintenance breaks.
+bool g_mismatch = false;
+
+void Report(const char* label, int64_t got, int64_t expect) {
+  std::printf("%-24s %lld (expect %lld)\n", label, static_cast<long long>(got),
+              static_cast<long long>(expect));
+  if (got != expect) g_mismatch = true;
+}
+
 }  // namespace
 
 int main() {
@@ -62,8 +72,7 @@ int main() {
   (void)orders.AppendRow({"widget-9", "munich"});
   const std::vector<ColumnId> key = {0, 1};
 
-  std::printf("initial top joinability: %lld (expect 2)\n",
-              static_cast<long long>(TopJoinability(&session, orders, key)));
+  Report("initial top joinability:", TopJoinability(&session, orders, key), 2);
 
   // Insert a row that matches the third order -> joinability rises to 3.
   // Every edit goes through the session's mutable accessors; the cache must
@@ -80,8 +89,7 @@ int main() {
   std::printf("stale cache still says:  %lld (the pre-edit answer!)\n",
               static_cast<long long>(TopJoinability(&session, orders, key)));
   session.InvalidateCache();
-  std::printf("after InvalidateCache:   %lld (expect 3)\n",
-              static_cast<long long>(TopJoinability(&session, orders, key)));
+  Report("after InvalidateCache:", TopJoinability(&session, orders, key), 3);
 
   // Update a cell: widget-1 moves to hamburg -> its combo stops matching.
   if (auto s = session.mutable_corpus()->mutable_table(inv_id)->SetCell(
@@ -95,8 +103,7 @@ int main() {
     return 1;
   }
   session.InvalidateCache();
-  std::printf("after UpdateCell:        %lld (expect 2)\n",
-              static_cast<long long>(TopJoinability(&session, orders, key)));
+  Report("after UpdateCell:", TopJoinability(&session, orders, key), 2);
 
   // Delete the widget-3 row -> joinability drops to 1.
   if (auto s = session.mutable_index()->DeleteRow(session.corpus(), inv_id,
@@ -109,8 +116,7 @@ int main() {
     return 1;
   }
   session.InvalidateCache();
-  std::printf("after DeleteRow:         %lld (expect 1)\n",
-              static_cast<long long>(TopJoinability(&session, orders, key)));
+  Report("after DeleteRow:", TopJoinability(&session, orders, key), 1);
 
   // Append a column (per §5.4 this only ORs new bits into the super keys).
   {
@@ -131,8 +137,7 @@ int main() {
     }
     session.InvalidateCache();
   }
-  std::printf("after AddColumn:         %lld (expect 1)\n",
-              static_cast<long long>(TopJoinability(&session, orders, key)));
+  Report("after AddColumn:", TopJoinability(&session, orders, key), 1);
 
   // Persist the maintained session and reload it from disk.
   const std::string corpus_path = "/tmp/mate_example_corpus.bin";
@@ -150,11 +155,13 @@ int main() {
                  reloaded.status().ToString().c_str());
     return 1;
   }
-  std::printf("after Save/Open:         %lld (expect 1)\n",
-              static_cast<long long>(TopJoinability(&*reloaded, orders,
-                                                    key)));
+  Report("after Save/Open:", TopJoinability(&*reloaded, orders, key), 1);
   std::remove(corpus_path.c_str());
   std::remove(index_path.c_str());
+  if (g_mismatch) {
+    std::fprintf(stderr, "a joinability differs from its expected value\n");
+    return 1;
+  }
   std::printf("\nEvery edit kept the index consistent without a rebuild — "
               "the §5.4 maintenance paths behind one owning Session.\n");
   return 0;

@@ -1,6 +1,7 @@
 #include "baselines/mcr.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -43,6 +44,15 @@ DiscoveryResult McrSearch::Discover(const Table& query,
       values_at[i].insert(v);
       std::vector<uint32_t>& list = combos_of_value[v];
       if (list.empty() || list.back() != combo_id) list.push_back(combo_id);
+    }
+  }
+
+  // Every combo value's posting list, combo-major, for verification.
+  std::vector<const PostingList*> combo_lists;
+  combo_lists.reserve(combos.size() * m);
+  for (const auto& combo : combos) {
+    for (const std::string& v : combo) {
+      combo_lists.push_back(index_->Lookup(v));
     }
   }
 
@@ -106,10 +116,12 @@ DiscoveryResult McrSearch::Discover(const Table& query,
       bound.erase(std::unique(bound.begin(), bound.end()), bound.end());
 
       bool row_matched = false;
-      verifier.LoadRow(table, r);
       for (uint32_t combo_id : bound) {
-        if (verifier.VerifyCombo(combos[combo_id], combo_id, kInvalidColumnId,
-                                 0, &acc, &stats.value_comparisons)) {
+        const std::span<const PostingList* const> lists =
+            std::span(combo_lists).subspan(combo_id * m, m);
+        if (verifier.VerifyCombo(lists, combo_id, t, r, table.NumColumns(),
+                                 kInvalidColumnId, 0, &acc,
+                                 &stats.value_comparisons)) {
           row_matched = true;
         }
       }

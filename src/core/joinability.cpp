@@ -139,60 +139,51 @@ std::vector<ColumnId> MappingAccumulator::BestMapping() {
   return std::vector<ColumnId>(begin, begin + width_);
 }
 
-void RowVerifier::LoadRow(const Table& table, RowId row) {
-  table_ = &table;
-  row_ = row;
-  n_ = table.NumColumns();
-  if (trimmed_at_.size() < n_) {
-    trimmed_at_.resize(n_, 0);
-    cells_.resize(n_);
-    used_.resize(n_, 0);
-  }
-  if (++epoch_ == 0) {  // wrapped: forget every stale view
-    std::fill(trimmed_at_.begin(), trimmed_at_.end(), 0);
-    epoch_ = 1;
-  }
-}
-
-std::string_view RowVerifier::Cell(ColumnId c) {
-  if (trimmed_at_[c] != epoch_) {
-    cells_[c] = Trim(table_->cell(row_, c));
-    trimmed_at_[c] = epoch_;
-  }
-  return cells_[c];
-}
-
-bool RowVerifier::VerifyCombo(const std::vector<std::string>& combo,
-                              uint32_t combo_id, ColumnId fixed_column,
+bool RowVerifier::VerifyCombo(std::span<const PostingList* const> lists,
+                              uint32_t combo_id, TableId table, RowId row,
+                              size_t num_columns, ColumnId fixed_column,
                               size_t fixed_position, MappingAccumulator* acc,
                               uint64_t* value_comparisons) {
-  const size_t m = combo.size();
-  const size_t n = n_;
+  const size_t m = lists.size();
+  const size_t n = num_columns;
   if (m > n) return false;
+  n_ = n;
   if (candidates_.size() < m * n) candidates_.resize(m * n);
+  if (used_.size() < n) used_.resize(n, 0);
   if (counts_.size() < m) {
     counts_.resize(m);
     order_.resize(m);
   }
   const bool has_fixed = fixed_column != kInvalidColumnId;
-  // A free position compares every column but the fixed one.
+  // A free position decides every column but the fixed one.
   const uint64_t scan_width = has_fixed ? n - 1 : n;
 
-  // Columns matching each combo position, position-major; a position with
-  // no match ends the check.
+  // Columns holding each combo position's value, position-major; a position
+  // with no match ends the check.
   for (size_t i = 0; i < m; ++i) {
-    const std::string_view value = combo[i];
     ColumnId* candidates = &candidates_[i * n];
     uint32_t count = 0;
     if (has_fixed && i == fixed_position) {
       ++*value_comparisons;
-      if (!EqualsFolded(value, Cell(fixed_column))) return false;
+      assert(lists[i] != nullptr &&
+             std::binary_search(lists[i]->begin(), lists[i]->end(),
+                                PostingEntry{table, fixed_column, row}));
       candidates[count++] = fixed_column;
     } else {
       *value_comparisons += scan_width;
-      for (ColumnId c = 0; c < n; ++c) {
-        if (c == fixed_column) continue;
-        if (EqualsFolded(value, Cell(c))) candidates[count++] = c;
+      const PostingList* list = lists[i];
+      if (list == nullptr) return false;
+      // Entries sort by (table, row, column): the row's run starts at
+      // (table, row, column 0).
+      for (auto it = std::lower_bound(list->begin(), list->end(),
+                                      PostingEntry{table, 0, row});
+           it != list->end() && it->table_id == table && it->row_id == row;
+           ++it) {
+        // The bound only keeps a stale index in memory bounds; a consistent
+        // one never lists a column past the row's width.
+        if (it->column_id != fixed_column && it->column_id < n) {
+          candidates[count++] = it->column_id;
+        }
       }
       if (count == 0) return false;
     }

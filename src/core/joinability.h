@@ -3,23 +3,23 @@
 //
 // Two implementations live here:
 //   * MappingAccumulator + RowVerifier: the incremental, row-driven
-//     verification MATE and the baselines share (Algorithm 1's calculateJ).
+//     verification MATE and MCR share (Algorithm 1's calculateJ), read off
+//     the index's posting lists.
 //   * BruteForceJoinability: the P(|T'|,|Q|)-mapping reference used as
 //     ground truth in tests and as the "Ideal" oracle in benches.
 //
-// Everything here takes `const Table&` — already-materialized tables.
-// Callers holding a lazy corpus resolve candidates through the accessor API
-// (Corpus::table materializes on first touch; shape-only decisions use the
-// table_* accessors) before handing tables down to these kernels.
+// The oracle and the combo extraction take `const Table&` — already-
+// materialized tables; the verifier reads no cells at all.
 
 #ifndef MATE_CORE_JOINABILITY_H_
 #define MATE_CORE_JOINABILITY_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "index/posting.h"
 #include "storage/table.h"
 #include "storage/types.h"
 
@@ -81,42 +81,43 @@ class MappingAccumulator {
 inline constexpr int kMaxMappingsPerRowCombo = 128;
 
 /// Exact verification of query combos against one candidate row at a time
-/// (Algorithm 1's calculateJ). LoadRow() selects the row; each cell is then
-/// trimmed at most once, on its first comparison, however many combos and
-/// positions compare it. The working arrays (the flat m x n candidate-column
-/// table, per-position counts, order, mapping, used flags) are reused
-/// across rows and tables, so verification allocates nothing once warmed.
-/// One verifier per evaluating thread.
+/// (Algorithm 1's calculateJ), answered from the index instead of the row's
+/// cells: a combo value's posting list is sorted by (table, row, column), so
+/// the columns of row (t, r) that hold the value are one contiguous run of
+/// it, found by binary search. The working arrays (the flat m x n
+/// candidate-column table, per-position counts, order, mapping, used flags)
+/// are reused across rows and tables, so verification allocates nothing once
+/// warmed. One verifier per evaluating thread.
+///
+/// Precondition: the posting lists describe the live row (t, r) exactly —
+/// the index has seen every edit of the row (§5.4 maintenance).
 class RowVerifier {
  public:
-  /// Makes `row` of `table` the row later VerifyCombo calls check. `table`
-  /// must outlive those calls.
-  void LoadRow(const Table& table, RowId row);
-
-  /// Exact containment check of one combo (normalized values) in the loaded
-  /// row. If every combo value occurs in the row, records all feasible
+  /// Exact containment check of one combo in row `row` of table `table`
+  /// (`num_columns` wide). `lists[i]` is the posting list of the combo's
+  /// i-th normalized value (InvertedIndex::Lookup; nullptr when absent). If
+  /// every combo value occurs in the row, records all feasible
   /// distinct-column assignments in `acc` (those where column
   /// `fixed_column`, when not kInvalidColumnId, is assigned to combo
-  /// position `fixed_position`) and returns true. `value_comparisons` is
-  /// incremented per cell comparison.
-  bool VerifyCombo(const std::vector<std::string>& combo, uint32_t combo_id,
-                   ColumnId fixed_column, size_t fixed_position,
-                   MappingAccumulator* acc, uint64_t* value_comparisons);
+  /// position `fixed_position`) and returns true. The fixed column must
+  /// hold that position's value (the caller took it from the value's
+  /// posting list), so it is not looked up again.
+  ///
+  /// `value_comparisons` counts the cells whose equality the check decided:
+  /// the row's width (less the fixed column) per free position examined
+  /// and 1 for the fixed position, positions in order, stopping at the
+  /// first position with no match.
+  bool VerifyCombo(std::span<const PostingList* const> lists,
+                   uint32_t combo_id, TableId table, RowId row,
+                   size_t num_columns, ColumnId fixed_column,
+                   size_t fixed_position, MappingAccumulator* acc,
+                   uint64_t* value_comparisons);
 
  private:
-  // The loaded row's cell `c`, trimmed.
-  std::string_view Cell(ColumnId c);
   void Enumerate(size_t depth);
 
-  const Table* table_ = nullptr;
-  RowId row_ = 0;
-  // cells_[c] is valid for the loaded row iff trimmed_at_[c] == epoch_.
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> trimmed_at_;
-  std::vector<std::string_view> cells_;
-
   // Per-combo working state.
-  size_t n_ = 0;                      // columns in the loaded row
+  size_t n_ = 0;                      // columns in the checked row
   std::vector<ColumnId> candidates_;  // m x n: position i's matching columns
   std::vector<uint32_t> counts_;      // candidates per position
   std::vector<uint32_t> order_;       // positions, fewest candidates first

@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <tuple>
 #include <unordered_map>
@@ -41,8 +42,17 @@ struct PreparedQuery {
   /// resolved once here so S shard tasks don't repeat the string-keyed
   /// probes.
   std::vector<const PostingList*> posting_lists;
+  /// Lookup of every combo value, combo-major: the lists the verifier reads
+  /// a row's matching columns from.
+  std::vector<const PostingList*> combo_lists;
   std::unordered_set<TableId> excluded;
   std::unordered_set<TableId> restricted;
+
+  /// The posting lists of combo `combo_id`'s values, in key order.
+  std::span<const PostingList* const> ComboLists(uint32_t combo_id) const {
+    const size_t m = combos[combo_id].size();
+    return std::span(combo_lists).subspan(combo_id * m, m);
+  }
 };
 
 PreparedQuery PrepareQuery(const Table& query,
@@ -78,6 +88,22 @@ PreparedQuery PrepareQuery(const Table& query,
   prep.posting_lists.reserve(prep.init_values.size());
   for (const std::string& v : prep.init_values) {
     prep.posting_lists.push_back(index.Lookup(v));
+  }
+
+  // The init position's lists were just resolved; look up the others.
+  const size_t m = key_columns.size();
+  prep.combo_lists.resize(prep.combos.size() * m);
+  for (uint32_t v = 0; v < prep.init_values.size(); ++v) {
+    for (const uint32_t combo_id : prep.combos_of_value[v]) {
+      prep.combo_lists[combo_id * m + prep.init_pos] = prep.posting_lists[v];
+    }
+  }
+  for (uint32_t combo_id = 0; combo_id < prep.combos.size(); ++combo_id) {
+    for (size_t i = 0; i < m; ++i) {
+      if (i == prep.init_pos) continue;
+      prep.combo_lists[combo_id * m + i] =
+          index.Lookup(prep.combos[combo_id][i]);
+    }
   }
 
   prep.excluded.insert(options.exclude_tables.begin(),
@@ -207,11 +233,12 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
     // is what lets a small query finish without paying for a cold giant
     // table it would only have pruned.
     //
-    // Single-column keys materialize *columnar*: with m == 1 the verifier
-    // only ever reads each PL item's fixed column (joinability.cpp), so
-    // this candidate needs cells for its distinct posting columns alone —
-    // over a format-v3 backing that is a sliver of a giant table. Multi-
-    // column keys scan whole rows and take the full-table path.
+    // The verifier itself reads posting lists, not cells; this access is
+    // kept for what hangs off it — the lazy corpus's sticky load status
+    // and the memory budget's residency accounting. Single-column keys
+    // materialize *columnar*, only the candidate's distinct posting
+    // columns — over a format-v3 backing a sliver of a giant table; multi-
+    // column keys take the full-table path.
     MaterializeOutcome mat;
     const bool single_column_key =
         !prep.combos.empty() && prep.combos[0].size() == 1;
@@ -252,6 +279,7 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
                   static_cast<uint64_t>(mat.parse_seconds * 1e6)));
     }
     const uint64_t rows_start_us = trace != nullptr ? trace->NowUs() : 0;
+    const size_t num_columns = table.NumColumns();
     acc.Clear();
     int64_t rows_checked_here = 0;
     int64_t rows_matched_here = 0;  // r_match of rule 2
@@ -322,9 +350,9 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
               continue;
             }
             const uint32_t combo_id = combo_ids[c];
-            if (!row_passed_filter) verifier.LoadRow(table, row);
             row_passed_filter = true;
-            if (verifier.VerifyCombo(prep.combos[combo_id], combo_id,
+            if (verifier.VerifyCombo(prep.ComboLists(combo_id), combo_id,
+                                     cand.table_id, row, num_columns,
                                      item.entry.column_id, prep.init_pos,
                                      &acc, &stats.value_comparisons)) {
               row_matched = true;

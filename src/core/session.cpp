@@ -102,6 +102,7 @@ Session& Session::operator=(Session&& other) noexcept {
     cache_ = std::move(other.cache_);
     corpus_stats_ = std::move(other.corpus_stats_);
     hash_family_ = other.hash_family_;
+    caller_hash_ = other.caller_hash_;
     build_report_ = std::move(other.build_report_);
     pending_ = std::move(other.pending_);
     warm_ = std::move(other.warm_);
@@ -614,6 +615,7 @@ Status Session::ResetHash(HashFamily family, size_t hash_bits) {
   }
   MATE_RETURN_IF_ERROR(ResetHash(family, std::move(hash)));
   index_->set_corpus_stats(use_stats ? corpus_stats_ : CorpusStats{});
+  caller_hash_ = false;
   return Status::OK();
 }
 
@@ -629,6 +631,7 @@ Status Session::ResetHash(HashFamily family,
   MATE_RETURN_IF_ERROR(
       index_->ResetHash(corpus_, std::move(hash), pool_->num_threads()));
   hash_family_ = family;
+  caller_hash_ = true;
   InvalidateCache();
   // The re-key scan materialized every cell; shed back to the budget.
   corpus_.EvictToBudget();
@@ -637,6 +640,11 @@ Status Session::ResetHash(HashFamily family,
 
 Status Session::Save(const std::string& corpus_path,
                      const std::string& index_path) const {
+  if (caller_hash_) {
+    return Status::InvalidArgument(
+        "Save: the index is keyed by a caller-built hash the index file "
+        "cannot record; re-key with ResetHash(family, bits) first");
+  }
   MATE_RETURN_IF_ERROR(WaitUntilReady());
   // Serialization needs every cell: drain the warmer (or materialize
   // inline) and refuse to persist a corpus whose blobs failed to parse.

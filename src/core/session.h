@@ -334,12 +334,17 @@ class Session {
   /// one: re-keying changes what the index computes for all tenants alike.
   /// The registry overload parameterizes the hash from the session's
   /// corpus stats, like the index builder does, and records them on the
-  /// index. A caller-built hash leaves the index's recorded stats alone.
+  /// index. A caller-built hash leaves the index's recorded stats alone,
+  /// and the session cannot Save until the registry overload re-keys it.
   Status ResetHash(HashFamily family, size_t hash_bits);
   Status ResetHash(HashFamily family, std::unique_ptr<RowHashFunction> hash);
 
   /// Persists the corpus (and, when present, the index) for a later
-  /// path-based Open.
+  /// path-based Open. The index file records the hash as family, width and
+  /// stats, from which the loader rebuilds it through the registry; an
+  /// index keyed by a caller-built hash (ResetHash with a hash object)
+  /// would reload with a different hash, so Save refuses it with
+  /// InvalidArgument and writes no file.
   Status Save(const std::string& corpus_path,
               const std::string& index_path) const;
 
@@ -381,6 +386,9 @@ class Session {
   std::unique_ptr<ResultCache> cache_;  // null when disabled
   CorpusStats corpus_stats_;
   HashFamily hash_family_ = HashFamily::kXash;
+  // True once ResetHash installed a caller-built hash: the index file could
+  // not name it, so Save refuses.
+  bool caller_hash_ = false;
   IndexBuildReport build_report_;
   // Phase-2 streaming state of a phased open (null otherwise): the loader
   // task/thread shares it via shared_ptr, so it survives Session moves.

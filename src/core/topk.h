@@ -37,7 +37,8 @@ struct DiscoveryStats {
   uint64_t rows_checked = 0;           // PL items visited in the row loop
   uint64_t rows_sent_to_verification = 0;  // passed the super-key filter
   uint64_t rows_true_positive = 0;     // verified joinable (>= 1 combo)
-  uint64_t value_comparisons = 0;      // cell comparisons during verification
+  // Cells whose equality verification decided (RowVerifier::VerifyCombo).
+  uint64_t value_comparisons = 0;
 
   /// Intra-query execution shape (core/query_executor.h): evaluation shards
   /// and resolved fan-out width this query ran with; 1/1 is the serial

@@ -105,7 +105,9 @@ class InvertedIndex {
 
   /// Removes the PL items of row (t, r) and zeroes its super key. The
   /// corpus row may be tombstoned before or after this call (tombstones
-  /// keep cells readable).
+  /// keep cells readable), but this call must come before the next
+  /// Table::AppendRow on table `t`: that append may reuse the slot, and
+  /// query verification reads row contents from the posting lists.
   Status DeleteRow(const Corpus& corpus, TableId t, RowId r);
 
   /// Removes all PL items of table `t`.

@@ -41,6 +41,7 @@ void Table::AppendEmptyRows(size_t n) {
   for (Column& col : columns_) col.cells.resize(num_rows_ + n);
   deleted_.resize(num_rows_ + n, false);
   num_rows_ += n;
+  if (n > 0) trailing_deleted_rows_ = 0;
 }
 
 Status Table::DropColumn(ColumnId c) {
@@ -55,6 +56,16 @@ Result<RowId> Table::AppendRow(std::vector<std::string> cells) {
   if (cells.size() != columns_.size()) {
     return Status::InvalidArgument("cell count does not match column count");
   }
+  if (trailing_deleted_rows_ > 0) {
+    const RowId r = static_cast<RowId>(num_rows_ - trailing_deleted_rows_);
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      columns_[c].cells[r] = std::move(cells[c]);
+    }
+    deleted_[r] = false;
+    --num_deleted_rows_;
+    --trailing_deleted_rows_;
+    return r;
+  }
   for (size_t c = 0; c < columns_.size(); ++c) {
     columns_[c].cells.push_back(std::move(cells[c]));
   }
@@ -67,6 +78,12 @@ Status Table::DeleteRow(RowId r) {
   if (deleted_[r]) return Status::AlreadyExists("row already deleted");
   deleted_[r] = true;
   ++num_deleted_rows_;
+  // Deleting the last live row joins it, and any tombstones just below it,
+  // to the trailing run.
+  while (trailing_deleted_rows_ < num_rows_ &&
+         deleted_[num_rows_ - trailing_deleted_rows_ - 1]) {
+    ++trailing_deleted_rows_;
+  }
   return Status::OK();
 }
 

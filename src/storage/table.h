@@ -1,6 +1,8 @@
 // In-memory relational table with string cells — the unit stored in a corpus
 // (data lake) and the unit returned by join discovery. Row deletion is
-// tombstone-based so row ids stay stable for the inverted index (§5.4).
+// tombstone-based so row ids stay stable for the inverted index (§5.4);
+// appends refill the trailing tombstones, so delete -> append churn does not
+// grow the table.
 
 #ifndef MATE_STORAGE_TABLE_H_
 #define MATE_STORAGE_TABLE_H_
@@ -50,12 +52,16 @@ class Table {
   /// Removes column `c`, shifting later column ids down by one.
   Status DropColumn(ColumnId c);
 
-  /// Appends a row; `cells` must have exactly NumColumns() entries.
-  /// Returns the new row id.
+  /// Adds a row; `cells` must have exactly NumColumns() entries. Reuses the
+  /// lowest id of the trailing run of tombstoned rows when there is one
+  /// (its old cells are dropped), else appends. Returns the row's id. Live
+  /// row ids never change and NumRows() never shrinks. An index over this
+  /// table must have dropped a tombstoned row's postings before the next
+  /// AppendRow (InvertedIndex::DeleteRow).
   Result<RowId> AppendRow(std::vector<std::string> cells);
 
   /// Tombstones row `r`; the row id remains allocated and IsRowDeleted(r)
-  /// becomes true.
+  /// becomes true. Its cells stay readable until AppendRow reuses the slot.
   Status DeleteRow(RowId r);
 
   bool IsRowDeleted(RowId r) const { return deleted_[r]; }
@@ -95,6 +101,8 @@ class Table {
   std::vector<bool> deleted_;
   size_t num_rows_ = 0;
   size_t num_deleted_rows_ = 0;
+  // Length of the run of tombstoned rows ending at the last row.
+  size_t trailing_deleted_rows_ = 0;
 };
 
 }  // namespace mate

@@ -509,8 +509,12 @@ Status ParseTableCells(const TableShape& shape, std::string_view blob,
     for (size_t c = 0; c < num_cols; ++c) row.push_back(std::move(cols[c][r]));
     Result<RowId> row_id = out->AppendRow(std::move(row));
     if (!row_id.ok()) return row_id.status();
+  }
+  // Tombstones go on only once every row is in: AppendRow refills trailing
+  // tombstones, so deleting while appending would shift later row ids.
+  for (uint64_t r = 0; r < num_rows; ++r) {
     if ((shape.deleted_bitmap[r / 8] >> (r % 8)) & 1) {
-      MATE_RETURN_IF_ERROR(out->DeleteRow(*row_id));
+      MATE_RETURN_IF_ERROR(out->DeleteRow(static_cast<RowId>(r)));
     }
   }
   return Status::OK();

@@ -2,8 +2,8 @@
 // NormalizeValue defines the canonical cell-value form used both at indexing
 // time and at query time, so equi-join semantics are consistent everywhere.
 // Its two ASCII predicates, IsAsciiSpace and AsciiToLower, are the only
-// definition of whitespace and case: Trim, ToLower and the verification
-// compare EqualsFolded all use them, and bytes >= 0x80 are never folded.
+// definition of whitespace and case: Trim and ToLower use them too, and
+// bytes >= 0x80 are never folded.
 
 #ifndef MATE_UTIL_STRING_UTIL_H_
 #define MATE_UTIL_STRING_UTIL_H_
@@ -38,19 +38,6 @@ inline std::string_view Trim(std::string_view s) {
   while (begin < end && IsAsciiSpace(s[begin])) ++begin;
   while (end > begin && IsAsciiSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
-}
-
-/// True iff ToLower(trimmed) == normalized: sizes first, then a byte-wise
-/// ASCII fold. With `trimmed` = Trim(raw) this is NormalizeValue(raw) ==
-/// normalized without allocating — the exact-match predicate of joinability
-/// verification.
-inline bool EqualsFolded(std::string_view normalized,
-                         std::string_view trimmed) {
-  if (normalized.size() != trimmed.size()) return false;
-  for (size_t i = 0; i < trimmed.size(); ++i) {
-    if (AsciiToLower(trimmed[i]) != normalized[i]) return false;
-  }
-  return true;
 }
 
 /// Canonical form of a cell value for indexing and joining: trimmed and

@@ -82,6 +82,32 @@ TEST(CorpusIoTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(CorpusIoTest, DeletedLastRowRoundTripsAndIsReused) {
+  // "sensors" ends in a run of two tombstones (rows 1 and 2): both loaders
+  // keep every row id and tombstone, and the loaded table refills the run
+  // from its lowest id, as the saved one would.
+  Corpus corpus = MakeCorpus();
+  ASSERT_TRUE(corpus.mutable_table(0)->DeleteRow(2).ok());
+  const std::string path = testing::TempDir() + "/mate_corpus_io_last.bin";
+  ASSERT_TRUE(SaveCorpus(corpus, path).ok());
+  auto eager = LoadCorpus(path);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  ExpectCorporaEqual(corpus, *eager);
+  auto lazy = OpenCorpusLazy(path);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+  ExpectCorporaEqual(corpus, *lazy);
+  std::remove(path.c_str());
+
+  for (Corpus* c : {&corpus, &*eager, &*lazy}) {
+    Table* sensors = c->mutable_table(0);
+    auto row = sensors->AppendRow({"2024-01-04", "bremen"});
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(*row, 1u);
+    EXPECT_EQ(sensors->NumRows(), 3u);
+    EXPECT_TRUE(sensors->IsRowDeleted(2));
+  }
+}
+
 TEST(CorpusIoTest, LoadMissingFileIsIOError) {
   auto loaded = LoadCorpus("/nonexistent/dir/corpus.bin");
   EXPECT_FALSE(loaded.ok());

@@ -218,6 +218,31 @@ TEST(IndexUpdatesTest, RandomizedEditScriptMatchesRebuild) {
   ExpectEquivalentToRebuild(corpus, *index);
 }
 
+TEST(IndexUpdatesTest, DeleteAppendChurnKeepsShapeConstant) {
+  // The §5.4 delete -> insert cycle of a long-lived writer: the appended
+  // row refills the slot the delete freed, so neither the table nor the
+  // super-key store grows, and the index stays equal to a rebuild.
+  Corpus corpus = SmallCorpus();
+  auto index = Build(corpus);
+  const size_t rows = corpus.table(0).NumRows();
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    const RowId last = static_cast<RowId>(rows - 1);
+    ASSERT_TRUE(index->DeleteRow(corpus, 0, last).ok());
+    ASSERT_TRUE(corpus.mutable_table(0)->DeleteRow(last).ok());
+    auto row = corpus.mutable_table(0)->AppendRow(
+        {"cycle" + std::to_string(cycle), "square", "tiny"});
+    ASSERT_TRUE(row.ok());
+    ASSERT_EQ(*row, last);
+    ASSERT_TRUE(index->InsertRow(corpus, 0, *row).ok());
+    ASSERT_EQ(corpus.table(0).NumRows(), rows);
+    ASSERT_EQ(index->superkeys().NumRows(0), rows);
+  }
+  ExpectEquivalentToRebuild(corpus, *index);
+  EXPECT_EQ(index->Lookup("cycle998"), nullptr);
+  ASSERT_NE(index->Lookup("cycle999"), nullptr);
+  EXPECT_EQ(index->Lookup("square")->size(), 2u);  // rows 1 and 2
+}
+
 TEST(IndexUpdatesTest, OutOfRangeEditsFail) {
   Corpus corpus = SmallCorpus();
   auto index = Build(corpus);

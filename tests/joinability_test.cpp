@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "index/index_builder.h"
 #include "util/rng.h"
 #include "workload/vocabulary.h"
 
@@ -43,15 +44,51 @@ Table MakeCandidateT1() {
   return t;
 }
 
-// One-shot verification of `combo` (as combo 0) in row `row` of `t`.
-bool VerifyComboInRow(const Table& t, RowId row,
+// Tables indexed for posting-list verification (table id = order added).
+struct IndexedLake {
+  explicit IndexedLake(Table table) { Add(std::move(table)); }
+
+  // Adds a table and rebuilds the index.
+  void Add(Table table) {
+    corpus.AddTable(std::move(table));
+    auto built = BuildIndex(corpus, IndexBuildOptions{});
+    EXPECT_TRUE(built.ok());
+    index = std::move(*built);
+  }
+
+  // Posting lists of `combo`'s values, in combo order.
+  std::vector<const PostingList*> Lists(
+      const std::vector<std::string>& combo) const {
+    std::vector<const PostingList*> lists;
+    for (const std::string& v : combo) lists.push_back(index->Lookup(v));
+    return lists;
+  }
+
+  Corpus corpus;
+  std::unique_ptr<InvertedIndex> index;
+};
+
+// Verification of `combo` (as combo `combo_id`) in row `row` of table `t`.
+bool VerifyWith(RowVerifier* verifier, const IndexedLake& lake, TableId t,
+                RowId row, const std::vector<std::string>& combo,
+                uint32_t combo_id, ColumnId fixed_column,
+                size_t fixed_position, MappingAccumulator* acc,
+                uint64_t* value_comparisons) {
+  const std::vector<const PostingList*> lists = lake.Lists(combo);
+  return verifier->VerifyCombo(lists, combo_id, t, row,
+                               lake.corpus.table(t).NumColumns(),
+                               fixed_column, fixed_position, acc,
+                               value_comparisons);
+}
+
+// One-shot verification of `combo` (as combo 0) in row `row` of table 0.
+bool VerifyComboInRow(const IndexedLake& lake, RowId row,
                       const std::vector<std::string>& combo,
                       ColumnId fixed_column, size_t fixed_position,
                       MappingAccumulator* acc, uint64_t* value_comparisons) {
   RowVerifier verifier;
-  verifier.LoadRow(t, row);
-  return verifier.VerifyCombo(combo, 0, fixed_column, fixed_position, acc,
-                              value_comparisons);
+  return VerifyWith(&verifier, lake, 0, row, combo, 0, fixed_column,
+                    fixed_position, acc, value_comparisons);
 }
 
 TEST(ExtractKeyCombosTest, DistinctNormalizedCombos) {
@@ -257,39 +294,66 @@ TEST(MappingAccumulatorTest, RandomAgreementWithReferenceModel) {
 }
 
 TEST(VerifyComboInRowTest, FindsMatchAndMapping) {
-  Table t = MakeCandidateT1();
+  IndexedLake t(MakeCandidateT1());
   MappingAccumulator acc;
   uint64_t cmp = 0;
   EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"},
                                kInvalidColumnId, 0, &acc, &cmp));
   EXPECT_EQ(acc.MaxJoinability(), 1);
   EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 1, 2}));
-  EXPECT_GT(cmp, 0u);
+  EXPECT_EQ(cmp, 3u * 4u);  // three free positions over four columns
 }
 
 TEST(VerifyComboInRowTest, RejectsPartialMatch) {
-  Table t = MakeCandidateT1();
+  IndexedLake t(MakeCandidateT1());
   MappingAccumulator acc;
   uint64_t cmp = 0;
   // Row 4 is (Muhammad, Ali, US, Boxer): "lee" missing.
   EXPECT_FALSE(VerifyComboInRow(t, 4, {"muhammad", "lee", "us"},
                                 kInvalidColumnId, 0, &acc, &cmp));
   EXPECT_EQ(acc.MaxJoinability(), 0);
+  EXPECT_EQ(cmp, 2u * 4u);  // stops at the first position without a match
+  // A value absent from the whole index ends the check the same way.
+  uint64_t absent_cmp = 0;
+  EXPECT_FALSE(VerifyComboInRow(t, 1, {"nobody", "lee", "us"},
+                                kInvalidColumnId, 0, &acc, &absent_cmp));
+  EXPECT_EQ(absent_cmp, 4u);
 }
 
 TEST(VerifyComboInRowTest, HonorsFixedColumn) {
-  Table t = MakeCandidateT1();
+  IndexedLake t(MakeCandidateT1());
   MappingAccumulator acc;
   uint64_t cmp = 0;
-  // Fixing "us" (combo position 2) to column 2 works for row 1...
+  // Fixing "us" (combo position 2) to column 2 works for row 1 and costs one
+  // comparison for the fixed position, three per free position.
   EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"},
                                /*fixed_column=*/2, /*fixed_position=*/2, &acc,
                                &cmp));
-  // ...but fixing it to column 3 ("Dancer") must fail.
-  MappingAccumulator acc2;
-  EXPECT_FALSE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"},
-                                /*fixed_column=*/3, /*fixed_position=*/2,
-                                &acc2, &cmp));
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 1, 2}));
+  EXPECT_EQ(cmp, 3u + 1u + 3u);
+
+  // The fixed column belongs to its position alone: in (x, x, y) the free
+  // "x" may not take it, so fixing "x" to column 1 leaves only (1, 2)...
+  Table dup("dup");
+  for (const char* name : {"a", "b", "c"}) dup.AddColumn(name);
+  (void)dup.AppendRow({"x", "X ", "y"});
+  (void)dup.AppendRow({"x", "z", "y"});
+  IndexedLake d(std::move(dup));
+  MappingAccumulator fixed;
+  EXPECT_TRUE(VerifyComboInRow(d, 0, {"x", "y"}, /*fixed_column=*/1,
+                               /*fixed_position=*/0, &fixed, &cmp));
+  EXPECT_EQ(fixed.NumMappings(), 1u);
+  EXPECT_EQ(fixed.BestMapping(), (std::vector<ColumnId>{1, 2}));
+  MappingAccumulator unfixed;
+  EXPECT_TRUE(VerifyComboInRow(d, 0, {"x", "y"}, kInvalidColumnId, 0, &unfixed,
+                               &cmp));
+  EXPECT_EQ(unfixed.NumMappings(), 2u);
+  // ...and (x, x) with column 0 fixed must fail on row 1, whose only other
+  // column holding "x" would be the fixed one.
+  MappingAccumulator none;
+  EXPECT_FALSE(VerifyComboInRow(d, 1, {"x", "x"}, /*fixed_column=*/0,
+                                /*fixed_position=*/0, &none, &cmp));
+  EXPECT_EQ(none.MaxJoinability(), 0);
 }
 
 TEST(VerifyComboInRowTest, RequiresDistinctColumns) {
@@ -297,11 +361,12 @@ TEST(VerifyComboInRowTest, RequiresDistinctColumns) {
   t.AddColumn("a");
   t.AddColumn("b");
   (void)t.AppendRow({"x", "z"});
+  IndexedLake lake(std::move(t));
   MappingAccumulator acc;
   uint64_t cmp = 0;
   // Both key values are "x" but the row has only one "x" column: the two
   // positions cannot map to distinct columns.
-  EXPECT_FALSE(VerifyComboInRow(t, 0, {"x", "x"}, kInvalidColumnId, 0,
+  EXPECT_FALSE(VerifyComboInRow(lake, 0, {"x", "x"}, kInvalidColumnId, 0,
                                 &acc, &cmp));
 }
 
@@ -311,10 +376,11 @@ TEST(VerifyComboInRowTest, EnumeratesAlternativeMappings) {
   t.AddColumn("b");
   t.AddColumn("c");
   (void)t.AppendRow({"x", "x", "y"});
+  IndexedLake lake(std::move(t));
   MappingAccumulator acc;
   uint64_t cmp = 0;
   // "x" can map to column 0 or 1: both assignments must be recorded.
-  EXPECT_TRUE(VerifyComboInRow(t, 0, {"x", "y"}, kInvalidColumnId, 0,
+  EXPECT_TRUE(VerifyComboInRow(lake, 0, {"x", "y"}, kInvalidColumnId, 0,
                                &acc, &cmp));
   acc.AddMatch({0, 2}, 1);  // a second combo under one of the mappings
   EXPECT_EQ(acc.MaxJoinability(), 2);
@@ -333,17 +399,16 @@ TEST(VerifyComboInRowTest, MappingCapBoundsEnumeration) {
   std::vector<std::string> sparse(kColumns, "o");
   sparse[12] = sparse[13] = " X ";
   (void)t.AppendRow(std::vector<std::string>(sparse));
+  IndexedLake lake(std::move(t));
 
   MappingAccumulator acc;
   RowVerifier verifier;
   uint64_t cmp = 0;
-  verifier.LoadRow(t, 0);
-  EXPECT_TRUE(verifier.VerifyCombo({"x", "x"}, 0, kInvalidColumnId, 0, &acc,
-                                   &cmp));
+  EXPECT_TRUE(VerifyWith(&verifier, lake, 0, 0, {"x", "x"}, 0,
+                         kInvalidColumnId, 0, &acc, &cmp));
   EXPECT_EQ(acc.NumMappings(), static_cast<size_t>(kMaxMappingsPerRowCombo));
-  verifier.LoadRow(t, 1);
-  EXPECT_TRUE(verifier.VerifyCombo({"x", "x"}, 1, kInvalidColumnId, 0, &acc,
-                                   &cmp));
+  EXPECT_TRUE(VerifyWith(&verifier, lake, 0, 1, {"x", "x"}, 1,
+                         kInvalidColumnId, 0, &acc, &cmp));
   EXPECT_EQ(acc.NumMappings(), kMaxMappingsPerRowCombo + 2u);
   EXPECT_EQ(cmp, 4u * kColumns);
   // Uncapped, (12, 13) would hold both combos and j would be 2: the cap
@@ -361,23 +426,26 @@ TEST(VerifyComboInRowTest, MappingCapBoundsEnumeration) {
 TEST(VerifyComboInRowTest, ReusedVerifierMatchesFreshOne) {
   // One verifier across rows and tables of different widths gives the same
   // answers and comparison counts as a fresh verifier per check.
-  Table wide = MakeCandidateT1();
   Table narrow("n");
   narrow.AddColumn("a");
   narrow.AddColumn("b");
   (void)narrow.AppendRow({" lee ", "MUHAMMAD"});
+  IndexedLake lake(MakeCandidateT1());
+  lake.Add(std::move(narrow));
   const std::vector<std::string> combo = {"muhammad", "lee"};
   RowVerifier shared;
   for (int pass = 0; pass < 2; ++pass) {
-    for (const Table* t : {&wide, &narrow}) {
-      for (RowId r = 0; r < t->NumRows(); ++r) {
+    for (TableId t = 0; t < lake.corpus.NumTables(); ++t) {
+      for (RowId r = 0; r < lake.corpus.table(t).NumRows(); ++r) {
         MappingAccumulator acc_shared, acc_fresh;
         uint64_t cmp_shared = 0, cmp_fresh = 0;
-        shared.LoadRow(*t, r);
-        const bool got = shared.VerifyCombo(combo, 0, kInvalidColumnId, 0,
-                                            &acc_shared, &cmp_shared);
-        const bool want = VerifyComboInRow(*t, r, combo, kInvalidColumnId,
-                                           0, &acc_fresh, &cmp_fresh);
+        const bool got = VerifyWith(&shared, lake, t, r, combo, 0,
+                                    kInvalidColumnId, 0, &acc_shared,
+                                    &cmp_shared);
+        RowVerifier fresh;
+        const bool want = VerifyWith(&fresh, lake, t, r, combo, 0,
+                                     kInvalidColumnId, 0, &acc_fresh,
+                                     &cmp_fresh);
         EXPECT_EQ(got, want);
         EXPECT_EQ(cmp_shared, cmp_fresh);
         EXPECT_EQ(acc_shared.BestMapping(), acc_fresh.BestMapping());
@@ -410,12 +478,14 @@ TEST(VerifyComboInRowTest, RandomAgreementWithBruteForce) {
       combo.push_back(std::string(1, static_cast<char>('a' + rng.Uniform(4))));
     }
     (void)query.AppendRow(std::vector<std::string>(combo));
+    const int64_t brute =
+        BruteForceJoinability(query, key_cols, cand).joinability;
 
+    IndexedLake lake(std::move(cand));
     MappingAccumulator acc;
     uint64_t cmp = 0;
     bool verified =
-        VerifyComboInRow(cand, 0, combo, kInvalidColumnId, 0, &acc, &cmp);
-    int64_t brute = BruteForceJoinability(query, key_cols, cand).joinability;
+        VerifyComboInRow(lake, 0, combo, kInvalidColumnId, 0, &acc, &cmp);
     EXPECT_EQ(verified, brute > 0) << trial;
     EXPECT_EQ(acc.MaxJoinability(), brute) << trial;
   }

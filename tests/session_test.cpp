@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "core/mate.h"
+#include "hash/xash.h"
 #include "index/index_builder.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
@@ -281,6 +284,111 @@ TEST(SessionOpenTest, SaveAndReopenRoundTrips) {
   auto result = session->Discover(MakeSpec(&query, {0, 1, 2}));
   ASSERT_TRUE(result.ok());
   ExpectBitIdentical(original, *result);
+  std::remove(corpus_path.c_str());
+  std::remove(index_path.c_str());
+}
+
+// Stored super keys of every live row, table-major.
+std::vector<BitVector> LiveSuperKeys(const Session& session) {
+  std::vector<BitVector> keys;
+  for (TableId t = 0; t < session.corpus().NumTables(); ++t) {
+    const Table& table = session.corpus().table(t);
+    for (RowId r = 0; r < table.NumRows(); ++r) {
+      if (!table.IsRowDeleted(r)) {
+        keys.push_back(session.index().superkeys().Get(t, r));
+      }
+    }
+  }
+  return keys;
+}
+
+TEST(SessionOpenTest, SaveRefusesACallerBuiltHash) {
+  // The index file names its hash by family, width and stats only. A
+  // caller-built Xash (alpha 3, rotation off) would reload as the
+  // registry's Xash, whose signatures its stored super keys do not cover:
+  // silent false negatives. Save refuses it and writes nothing.
+  const std::string corpus_path =
+      testing::TempDir() + "/mate_session_caller_hash.corpus";
+  const std::string index_path =
+      testing::TempDir() + "/mate_session_caller_hash.index";
+  std::remove(corpus_path.c_str());
+  std::remove(index_path.c_str());
+  Session session = OpenLakeSession(/*cache_bytes=*/0);
+  XashOptions xash;
+  xash.hash_bits = 128;
+  xash.alpha = 3;
+  xash.use_rotation = false;
+  auto custom = std::make_unique<Xash>(xash);
+  ASSERT_TRUE(session.ResetHash(HashFamily::kXash, std::move(custom)).ok());
+  const Status saved = session.Save(corpus_path, index_path);
+  EXPECT_TRUE(saved.IsInvalidArgument()) << saved.ToString();
+  EXPECT_FALSE(std::filesystem::exists(corpus_path));
+  EXPECT_FALSE(std::filesystem::exists(index_path));
+
+  // Re-keying through the registry makes the session savable again, and
+  // the (family, bits) hash round-trips: same family, width, super keys and
+  // answers after the reload.
+  ASSERT_TRUE(session.ResetHash(HashFamily::kBloom, 256).ok());
+  const Table query = MakeQuery();
+  auto before = session.Discover(MakeSpec(&query, {0, 1, 2}));
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(session.Save(corpus_path, index_path).ok());
+  SessionOptions reopen;
+  reopen.corpus_path = corpus_path;
+  reopen.index_path = index_path;
+  auto reloaded = Session::Open(std::move(reopen));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_TRUE(reloaded->WaitUntilReady().ok());
+  EXPECT_EQ(reloaded->hash_family(), HashFamily::kBloom);
+  EXPECT_EQ(reloaded->index().hash_bits(), 256u);
+  EXPECT_EQ(LiveSuperKeys(*reloaded), LiveSuperKeys(session));
+  auto after = reloaded->Discover(MakeSpec(&query, {0, 1, 2}));
+  ASSERT_TRUE(after.ok());
+  ExpectBitIdentical(*before, *after);
+  std::remove(corpus_path.c_str());
+  std::remove(index_path.c_str());
+}
+
+TEST(SessionOpenTest, SaveAfterDeleteAppendChurnReopens) {
+  // 1000 delete -> append cycles on the last row of the first table refill
+  // one slot: the corpus and super-key store keep their shape, so the saved
+  // pair passes Open's shape validation and answers as before.
+  const std::string corpus_path =
+      testing::TempDir() + "/mate_session_churn.corpus";
+  const std::string index_path =
+      testing::TempDir() + "/mate_session_churn.index";
+  Session session = OpenLakeSession(/*cache_bytes=*/0);
+  Table* table = session.mutable_corpus()->mutable_table(0);
+  InvertedIndex* index = session.mutable_index();
+  const size_t rows = table->NumRows();
+  const RowId last = static_cast<RowId>(rows - 1);
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    ASSERT_TRUE(index->DeleteRow(session.corpus(), 0, last).ok());
+    ASSERT_TRUE(table->DeleteRow(last).ok());
+    // Alternate between the original row and a non-matching one.
+    std::vector<std::string> cells = {"Muhammad", "Lee", "Germany"};
+    if (cycle % 2 == 0) cells[2] = "cycle" + std::to_string(cycle);
+    auto row = table->AppendRow(std::move(cells));
+    ASSERT_TRUE(row.ok());
+    ASSERT_EQ(*row, last);
+    ASSERT_TRUE(index->InsertRow(session.corpus(), 0, last).ok());
+  }
+  EXPECT_EQ(table->NumRows(), rows);
+  EXPECT_EQ(session.index().superkeys().NumRows(0), rows);
+
+  const Table query = MakeQuery();
+  auto before = session.Discover(MakeSpec(&query, {0, 1, 2}));
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(session.Save(corpus_path, index_path).ok());
+  SessionOptions reopen;
+  reopen.corpus_path = corpus_path;
+  reopen.index_path = index_path;
+  auto reloaded = Session::Open(std::move(reopen));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->corpus().table_num_rows(0), rows);
+  auto after = reloaded->Discover(MakeSpec(&query, {0, 1, 2}));
+  ASSERT_TRUE(after.ok());
+  ExpectBitIdentical(*before, *after);
   std::remove(corpus_path.c_str());
   std::remove(index_path.c_str());
 }

@@ -69,29 +69,10 @@ TEST(StringUtilTest, ParseSmallUint) {
   EXPECT_EQ(value, 99u);  // untouched on every failure
 }
 
-TEST(StringUtilTest, EqualsFoldedMatchesNormalizeValue) {
-  const char* raws[] = {"  Muhammad ", "US", "us ", "60k", "", "  ",
-                        "Ansel Adams", "a"};
-  const char* norms[] = {"muhammad", "us", "lee", "", "ansel adams"};
-  for (const char* raw : raws) {
-    for (const char* norm : norms) {
-      EXPECT_EQ(EqualsFolded(norm, Trim(raw)), NormalizeValue(raw) == norm)
-          << "raw=[" << raw << "] norm=[" << norm << "]";
-    }
-  }
-}
-
-TEST(StringUtilTest, EqualsFoldedIsZeroAllocCorrect) {
-  EXPECT_TRUE(EqualsFolded("muhammad", Trim("  MUHAMMAD  ")));
-  EXPECT_FALSE(EqualsFolded("muhammad", Trim("muhammed")));
-  EXPECT_FALSE(EqualsFolded("muhammad", Trim("muhamma")));
-  EXPECT_TRUE(EqualsFolded("", Trim("   ")));
-}
-
 TEST(StringUtilTest, AsciiPredicatesMatchNormalizeValueOnEveryByte) {
-  // One definition of space and case for index time (NormalizeValue) and
-  // verify time (Trim + EqualsFolded), equal to the "C" locale's
-  // isspace/tolower, which the library never changes.
+  // One definition of space and case for NormalizeValue, Trim and ToLower,
+  // equal to the "C" locale's isspace/tolower, which the library never
+  // changes.
   for (int b = 0; b < 256; ++b) {
     const char c = static_cast<char>(b);
     const std::string one(1, c);
@@ -101,16 +82,11 @@ TEST(StringUtilTest, AsciiPredicatesMatchNormalizeValueOnEveryByte) {
     const std::string norm = NormalizeValue(padded);
     EXPECT_EQ(norm, IsAsciiSpace(c) ? "" : std::string(1, AsciiToLower(c)))
         << b;
-    EXPECT_TRUE(EqualsFolded(norm, Trim(padded))) << b;
-    for (int other = 0; other < 256; ++other) {
-      const std::string other_norm = NormalizeValue(std::string(1, other));
-      EXPECT_EQ(EqualsFolded(other_norm, Trim(padded)), other_norm == norm)
-          << b << " vs " << other;
-    }
+    EXPECT_EQ(ToLower(Trim(padded)), norm) << b;
   }
   // Bytes >= 0x80 are not folded: UTF-8 "É" (C3 89) is not "é" (C3 A9).
   EXPECT_EQ(NormalizeValue("\xC3\x89"), "\xC3\x89");
-  EXPECT_FALSE(EqualsFolded("\xC3\xA9", Trim("\xC3\x89")));
+  EXPECT_NE(NormalizeValue("\xC3\x89"), NormalizeValue("\xC3\xA9"));
 }
 
 TEST(StringUtilTest, FormatKeyCombo) {

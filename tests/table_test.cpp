@@ -80,6 +80,52 @@ TEST(TableTest, DeleteRowIsTombstone) {
   EXPECT_TRUE(t.DeleteRow(100).IsOutOfRange());
 }
 
+TEST(TableTest, AppendRowReusesTrailingTombstones) {
+  Table t = MakeFigure1Candidate();  // 8 rows
+  ASSERT_TRUE(t.DeleteRow(7).ok());
+  ASSERT_TRUE(t.DeleteRow(5).ok());
+  ASSERT_TRUE(t.DeleteRow(6).ok());  // joins 5 and 7 into one trailing run
+  EXPECT_EQ(t.NumLiveRows(), 5u);
+  // The lowest id of the run first, then upward; then plain appends.
+  for (RowId want : {5u, 6u, 7u, 8u}) {
+    auto r = t.AppendRow({"a" + std::to_string(want), "b", "c", "d"});
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, want);
+    EXPECT_FALSE(t.IsRowDeleted(*r));
+    EXPECT_EQ(t.cell(*r, 0), "a" + std::to_string(want));  // old cells gone
+  }
+  EXPECT_EQ(t.NumRows(), 9u);
+  EXPECT_EQ(t.NumLiveRows(), 9u);
+  EXPECT_EQ(t.cell(4, 1), "Ali");  // live rows untouched
+}
+
+TEST(TableTest, AppendRowNeverReusesInteriorTombstone) {
+  Table t = MakeFigure1Candidate();
+  ASSERT_TRUE(t.DeleteRow(2).ok());
+  auto r = t.AppendRow({"x", "y", "z", "w"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, 8u);
+  EXPECT_TRUE(t.IsRowDeleted(2));
+  EXPECT_EQ(t.cell(2, 0), "Ansel");
+  // Deleting the rows above the interior tombstone makes it trailing.
+  for (RowId d = 3; d <= 8; ++d) ASSERT_TRUE(t.DeleteRow(d).ok());
+  r = t.AppendRow({"x", "y", "z", "w"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, 2u);
+  EXPECT_EQ(t.NumRows(), 9u);
+  EXPECT_EQ(t.NumLiveRows(), 3u);
+}
+
+TEST(TableTest, AppendRowAfterEmptyRowsAppends) {
+  Table t = MakeFigure1Candidate();
+  ASSERT_TRUE(t.DeleteRow(7).ok());
+  t.AppendEmptyRows(2);  // live rows end the table again
+  auto r = t.AppendRow({"x", "y", "z", "w"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, 10u);
+  EXPECT_TRUE(t.IsRowDeleted(7));
+}
+
 TEST(TableTest, SetCell) {
   Table t = MakeFigure1Candidate();
   ASSERT_TRUE(t.SetCell(0, 0, "helmut2").ok());
